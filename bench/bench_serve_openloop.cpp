@@ -1,8 +1,8 @@
-// Open-loop overload bench for the serving frontend. The existing
-// bench_serving is closed-loop: clients wait for each answer before
-// sending the next request, so offered load can never exceed service
-// capacity and queueing collapse is structurally invisible. This
-// harness is open-loop: a generator thread submits on a fixed arrival
+// Open-loop overload bench for the serving frontend. In a closed loop
+// clients wait for each answer before sending the next request, so
+// offered load can never exceed service capacity and queueing collapse
+// is structurally invisible. This harness is open-loop: a generator
+// thread submits on a fixed arrival
 // schedule regardless of completions, driving the frontend at
 // multiples of measured capacity (default 1x, 2x, 10x) and reporting
 // what overload actually does: p50/p99 of served requests, shed rate

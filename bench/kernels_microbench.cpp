@@ -7,8 +7,8 @@
 // The custom main() additionally sweeps {scalar, best-SIMD} kernel
 // backends x {1, 2, 4, max} pool threads on the large matmul /
 // elementwise / reduction / segment_sum / gather shapes and emits one
-// JSON line per (kernel, backend, threads) point in the same
-// log-scraping style as bench_serving. Each line carries
+// JSON line per (kernel, backend, threads) point through the shared
+// bench reporter (bench_common.hpp). Each line carries
 // `speedup_vs_1t` (thread scaling within a backend) and
 // `speedup_vs_scalar` (SIMD win at the same thread count), so both the
 // parallel runtime and the vector kernels are tracked release over

@@ -22,6 +22,7 @@
 #include "data/dataloader.hpp"
 #include "materials/materials_project.hpp"
 #include "models/egnn.hpp"
+#include "obs/metrics.hpp"
 #include "optim/adam.hpp"
 #include "serve/serve.hpp"
 #include "tasks/regression.hpp"
@@ -123,6 +124,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(opts.max_wait_us));
 
   std::atomic<long long> correct{0}, incorrect{0}, dropped{0};
+  obs::Histogram latency_us(obs::Histogram::default_latency_bounds_us());
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
@@ -133,6 +135,7 @@ int main(int argc, char** argv) {
         try {
           serve::PredictResult r =
               scheduler.submit(pool[idx], "band_gap").get();
+          latency_us.observe(r.latency_us);
           if (r.prediction.value == reference[idx]) {
             ++correct;
           } else {
@@ -151,8 +154,11 @@ int main(int argc, char** argv) {
   scheduler.shutdown();
 
   // --- 5. report ------------------------------------------------------------
-  const serve::ServerStats& stats_block = scheduler.stats();
-  const serve::LatencySummary lat = stats_block.latency_summary();
+  // Batch counts come from the scheduler's registry series; this
+  // process runs one scheduler, so the global totals are its totals.
+  const obs::HistogramSnapshot batches =
+      obs::MetricsRegistry::global().histogram("serve.batch_size").snapshot();
+  const obs::HistogramSnapshot lat = latency_us.snapshot();
   const long long total = static_cast<long long>(clients) * per_client;
   std::printf("\n=== closed-loop load: %d clients x %d requests ===\n",
               clients, per_client);
@@ -160,21 +166,21 @@ int main(int argc, char** argv) {
               correct.load(), total);
   std::printf("%-28s %lld\n", "incorrect responses", incorrect.load());
   std::printf("%-28s %lld\n", "dropped requests", dropped.load());
-  std::printf("%-28s %.0f structs/s (wall) / %.0f structs/s (serving "
-              "window)\n",
-              "throughput", static_cast<double>(total) / wall_s,
-              stats_block.throughput_per_s());
+  std::printf("%-28s %.0f structs/s\n", "throughput (wall)",
+              static_cast<double>(total) / wall_s);
   std::printf("%-28s p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
-              "latency (us)", lat.p50_us, lat.p95_us, lat.p99_us, lat.max_us);
+              "latency (us)", lat.percentile(0.50), lat.percentile(0.95),
+              lat.percentile(0.99), lat.max);
   std::printf("%-28s %.2f (over %lld micro-batches)\n", "mean batch size",
-              stats_block.mean_batch_size(),
-              static_cast<long long>(stats_block.batches_executed()));
+              batches.mean(), static_cast<long long>(batches.count));
+  // max_batch_size sits below the last bound (256), so the overflow
+  // slot stays empty.
   std::printf("batch-size histogram:\n");
-  for (const auto& [size, count] : stats_block.batch_size_histogram()) {
-    std::printf("  %3lld: %lld\n", static_cast<long long>(size),
-                static_cast<long long>(count));
+  for (std::size_t i = 0; i < batches.bounds.size(); ++i) {
+    if (batches.counts[i] == 0) continue;
+    std::printf("  <=%3.0f: %lld\n", batches.bounds[i],
+                static_cast<long long>(batches.counts[i]));
   }
-  std::printf("\nstats json: %s\n", stats_block.to_json().c_str());
 
   if (incorrect.load() != 0 || dropped.load() != 0) {
     std::printf("SERVING FAILED: responses dropped or incorrect\n");

@@ -63,8 +63,7 @@ selftest() {
   printf '{"record":"meta","bench":"a"}\n{"record":"run","x":1}\n' \
     > "$dir/BENCH_a.json"
   printf '{"record":"meta","bench":"b"}\n' > "$dir/BENCH_b.json"
-  # Open-loop serving artifact (closed_loop:false distinguishes it from
-  # bench_serving's closed-loop records) — must ride the same glob. The
+  # Open-loop serving artifact — must ride the same glob. The
   # run line carries the telemetry-plane fields: mid-overload /metrics
   # scrape accounting, end-to-end trace continuity, and per-stage
   # latency attribution.

@@ -41,9 +41,8 @@ void GroupState::reduce(Slot& s) {
   // was submitted, and none touches its buffer until wait() observes
   // done — so the hot loop runs lock-free. Accumulation is per element
   // in ascending rank order in double precision, then one float cast
-  // and a float multiply by 1/world: the exact numerics of the
-  // blocking allreduce_mean, so bucketed identity-compressed DDP is
-  // bit-identical to the monolithic path.
+  // and a float multiply by 1/world, so identity-compressed DDP is
+  // bit-identical to a plain double-accumulated mean in rank order.
   const obs::StopWatch watch;
   std::vector<float*> bufs;
   std::size_t size = 0;
@@ -65,12 +64,12 @@ void GroupState::reduce(Slot& s) {
       bufs[static_cast<std::size_t>(r)][i] = v;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.reduce_us = watch.elapsed_us();
-    s.done_at = std::chrono::steady_clock::now();
-    s.done = true;
-  }
+  // Notify under the lock: once a waiter sees done it may return, the
+  // group may be torn down, and the slot (this cv included) destroyed.
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.reduce_us = watch.elapsed_us();
+  s.done_at = std::chrono::steady_clock::now();
+  s.done = true;
   s.cv.notify_all();
 }
 

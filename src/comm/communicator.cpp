@@ -226,7 +226,7 @@ void Communicator::allreduce_sum(std::span<float> data) {
   const obs::StopWatch watch;
   post_and_validate(data, "allreduce");
   // Rank 0 reduces in double precision into the shared scratch buffer;
-  // everyone copies back. (Single physical core: no benefit to a ring.)
+  // everyone copies back.
   if (rank_ == 0) {
     group_->scratch_.assign(data.size(), 0.0);
     for (std::int64_t r = 0; r < world_size(); ++r) {
@@ -242,12 +242,6 @@ void Communicator::allreduce_sum(std::span<float> data) {
   }
   group_->barrier_wait();
   metrics.allreduce_us.observe(watch.elapsed_us());
-}
-
-void Communicator::allreduce_mean(std::span<float> data) {
-  allreduce_sum(data);
-  const float inv = 1.0f / static_cast<float>(world_size());
-  for (float& v : data) v *= inv;
 }
 
 void Communicator::broadcast(std::span<float> data, std::int64_t root) {

@@ -130,9 +130,6 @@ class Communicator {
   /// accumulated in double precision for rank-count independence).
   void allreduce_sum(std::span<float> data);
 
-  /// In-place mean across ranks — the DDP gradient-averaging collective.
-  void allreduce_mean(std::span<float> data);
-
   /// In-place broadcast of root's buffer to every rank.
   void broadcast(std::span<float> data, std::int64_t root);
 

@@ -112,7 +112,6 @@ void Histogram::observe(double v, std::uint64_t exemplar_trace_id) {
   bucket_counts_[shard * num_buckets_ + bucket].fetch_add(
       1, std::memory_order_relaxed);
   ShardStats& s = stats_[shard];
-  s.count.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(s.sum, v);
   detail::atomic_min(s.min, v);
   detail::atomic_max(s.max, v);
@@ -137,11 +136,14 @@ HistogramSnapshot Histogram::snapshot() const {
           std::memory_order_relaxed);
     }
     const ShardStats& s = stats_[shard];
-    snap.count += s.count.load(std::memory_order_relaxed);
     snap.sum += s.sum.load(std::memory_order_relaxed);
     min = std::min(min, s.min.load(std::memory_order_relaxed));
     max = std::max(max, s.max.load(std::memory_order_relaxed));
   }
+  // The count is the bucket total, never a separately loaded counter: a
+  // scrape racing observe() must not see finite buckets sum past the
+  // count (Prometheus requires le="+Inf" == _count >= every bucket).
+  for (const std::int64_t c : snap.counts) snap.count += c;
   if (snap.count > 0) {
     snap.min = min;
     snap.max = max;
@@ -158,7 +160,6 @@ void Histogram::reset() {
   }
   for (ShardStats& s : stats_) {
     s.sum.store(0.0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
     s.min.store(std::numeric_limits<double>::infinity(),
                 std::memory_order_relaxed);
     s.max.store(-std::numeric_limits<double>::infinity(),

@@ -105,9 +105,11 @@ struct HistogramSnapshot {
 
 /// Fixed-bucket histogram with sharded lock-free observation. Bucket
 /// boundaries are fixed at construction so observe() is a binary search
-/// plus three relaxed RMWs; there is no per-sample storage, so memory
-/// and merge cost are independent of the observation count (unlike the
-/// sort-the-samples percentile path this replaces in serve::ServerStats).
+/// plus relaxed RMWs on the caller's shard; there is no per-sample
+/// storage, so memory and merge cost are independent of the observation
+/// count. snapshot() derives the count from the bucket totals, so a
+/// scrape racing observe() always sees cumulative buckets that end at
+/// the count.
 class Histogram {
  public:
   /// `upper_bounds` must be non-empty and strictly increasing. Values
@@ -131,7 +133,6 @@ class Histogram {
  private:
   struct alignas(64) ShardStats {
     std::atomic<double> sum{0.0};
-    std::atomic<std::int64_t> count{0};
     std::atomic<double> min{std::numeric_limits<double>::infinity()};
     std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
@@ -168,8 +169,8 @@ class Series {
 /// Process-wide name -> metric table. Lookup takes a mutex, so callers
 /// on hot paths resolve once and keep the reference (references are
 /// stable for the registry's lifetime; the global() instance is never
-/// destroyed). Dotted lowercase names ("serve.queue_wait_us") are the
-/// convention; exporters sanitize as needed.
+/// destroyed). Dotted lowercase names ("serve.stage.queue_wait_us") are
+/// the convention; exporters sanitize as needed.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();

@@ -14,14 +14,14 @@ namespace {
 
 /// Scheduler telemetry: queue wait is enqueue-to-pop (how long a
 /// request sat before a dispatch job picked it up — the micro-batching
-/// coalescing cost), distinct from the end-to-end latency ServerStats
-/// records. Queue depth is sampled after every pop; deadline drops are
-/// exported as a counter delta per pop (the queue owns the count).
+/// coalescing cost), distinct from the end-to-end
+/// PredictResult::latency_us. Queue depth is sampled after every pop;
+/// deadline drops are exported as a counter delta per pop (the queue
+/// owns the count).
 struct ServeMetrics {
   obs::Counter& requests;
   obs::Counter& batches;
   obs::Counter& deadline_drops;
-  obs::Histogram& queue_wait_us;
   obs::Histogram& batch_size;
   obs::Gauge& queue_depth;
   /// Per-stage latency attribution (DESIGN.md §10): where a request's
@@ -36,7 +36,6 @@ struct ServeMetrics {
         obs::MetricsRegistry::global().counter("serve.requests"),
         obs::MetricsRegistry::global().counter("serve.batches"),
         obs::MetricsRegistry::global().counter("serve.deadline_drops"),
-        obs::MetricsRegistry::global().histogram("serve.queue_wait_us"),
         obs::MetricsRegistry::global().histogram(
             "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256}),
         obs::MetricsRegistry::global().gauge("serve.queue_depth"),
@@ -139,7 +138,6 @@ void BatchScheduler::dispatch_loop() {
       const double wait_us =
           std::chrono::duration<double, std::micro>(popped - p.enqueued)
               .count();
-      metrics.queue_wait_us.observe(wait_us);
       metrics.stage_queue_wait_us.observe(wait_us, p.request.trace.trace_id());
       // Span start is the enqueue instant: queue wait began before this
       // code ran, so the span is back-dated onto the tracer's clock.
@@ -210,8 +208,6 @@ void BatchScheduler::serve_batch(std::vector<PendingRequest>& batch) {
   const std::uint64_t forward_dur_ns = to_span_ns(now) - forward_start_ns;
   obs::record_span("serve/batch", to_span_ns(assembly_start),
                    to_span_ns(now) - to_span_ns(assembly_start), batch_ctx);
-  std::vector<double> latencies_us;
-  latencies_us.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PredictResult result;
     result.prediction = std::move(predictions[i]);
@@ -220,7 +216,6 @@ void BatchScheduler::serve_batch(std::vector<PendingRequest>& batch) {
         std::chrono::duration<double, std::micro>(now - batch[i].enqueued)
             .count();
     result.service_us = service_us;
-    latencies_us.push_back(result.latency_us);
     metrics.stage_forward_us.observe(service_us,
                                      batch[i].request.trace.trace_id());
     // The member's forward span parents onto the batch span, not the
@@ -237,7 +232,6 @@ void BatchScheduler::serve_batch(std::vector<PendingRequest>& batch) {
     batch[i].promise.set_value(std::move(result));
     obs::InflightSet::global().erase(batch[i].request.trace);
   }
-  stats_.record_batch(static_cast<std::int64_t>(batch.size()), latencies_us);
 }
 
 }  // namespace matsci::serve

@@ -11,7 +11,6 @@
 #include "core/parallel/thread_pool.hpp"
 #include "serve/queue.hpp"
 #include "serve/session.hpp"
-#include "serve/stats.hpp"
 
 namespace matsci::serve {
 
@@ -96,7 +95,6 @@ class BatchScheduler {
   /// the dispatch jobs from the pool. Idempotent.
   void shutdown();
 
-  const ServerStats& stats() const { return stats_; }
   /// Queued-but-undispatched requests right now (admission input).
   std::int64_t queue_depth() const {
     return static_cast<std::int64_t>(queue_.size());
@@ -117,7 +115,6 @@ class BatchScheduler {
   std::shared_ptr<InferenceSession> session_;
   SchedulerOptions opts_;
   RequestQueue queue_;
-  ServerStats stats_;
   std::vector<core::parallel::TaskHandle> dispatchers_;
   std::mutex shutdown_mu_;
 };

@@ -4,7 +4,8 @@
 /// InferenceSession (eval-mode, grad-free forward) -> BatchScheduler
 /// (bounded thread-safe RequestQueue with priority classes and SLO
 /// deadlines, dynamic micro-batching, worker pool) -> per-request
-/// futures, with a ServerStats counter block — and, layered on top,
+/// futures, counted in the obs registry (serve.requests, serve.batches,
+/// serve.batch_size, serve.stage.*) — and, layered on top,
 /// the production frontend (serve/frontend/): versioned model registry
 /// with atomic hot-swap, admission control with load shedding and
 /// retry-after, and a canonicalized-structure response cache. See the
@@ -19,4 +20,3 @@
 #include "serve/queue.hpp"               // IWYU pragma: export
 #include "serve/scheduler.hpp"           // IWYU pragma: export
 #include "serve/session.hpp"             // IWYU pragma: export
-#include "serve/stats.hpp"               // IWYU pragma: export

@@ -16,30 +16,6 @@
 
 namespace matsci::train {
 
-std::vector<float> flatten_grads(const std::vector<core::Tensor>& params) {
-  std::vector<float> flat;
-  for (core::Tensor p : params) {
-    auto g = p.grad_span();  // materializes zeros when absent
-    flat.insert(flat.end(), g.begin(), g.end());
-  }
-  return flat;
-}
-
-void unflatten_grads(const std::vector<float>& flat,
-                     std::vector<core::Tensor>& params) {
-  std::size_t off = 0;
-  for (core::Tensor& p : params) {
-    auto g = p.grad_span();
-    MATSCI_CHECK(off + g.size() <= flat.size(),
-                 "unflatten_grads: buffer too small");
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
-              flat.begin() + static_cast<std::ptrdiff_t>(off + g.size()),
-              g.begin());
-    off += g.size();
-  }
-  MATSCI_CHECK(off == flat.size(), "unflatten_grads: buffer size mismatch");
-}
-
 namespace {
 
 std::string checkpoint_path(const DDPOptions& opts) {
@@ -107,10 +83,7 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
     monitor->set_rank(rank);
   }
 
-  std::optional<comm::coll::BucketAllreduce> engine;
-  if (opts.use_buckets) {
-    engine.emplace(comm, params, opts.coll);
-  }
+  comm::coll::BucketAllreduce engine(comm, params, opts.coll);
 
   double local_samples = 0.0;
   std::int64_t local_steps = 0;      // applied optimizer steps
@@ -137,15 +110,12 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
         MATSCI_TRACE_SCOPE("ddp/forward");
         out = ctx.task->step(batch);
       }
-      if (engine) {
-        // Overlapped path: arm the engine, then run backward with the
-        // readiness hook installed — buckets post their allreduce from
-        // inside the backward walk as their last gradient finalizes.
-        engine->begin_step();
-        core::GradReadyHookGuard hook_guard(engine->hook());
-        MATSCI_TRACE_SCOPE("ddp/backward");
-        out.loss.backward();
-      } else {
+      {
+        // Arm the engine, then run backward with the readiness hook
+        // installed — buckets post their allreduce from inside the
+        // backward walk as their last gradient finalizes.
+        engine.begin_step();
+        core::GradReadyHookGuard hook_guard(engine.hook());
         MATSCI_TRACE_SCOPE("ddp/backward");
         out.loss.backward();
       }
@@ -153,8 +123,8 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
       local_samples += static_cast<double>(batch.num_graphs());
 
       // Pre-allreduce local gradient norm: param .grad buffers still
-      // hold local gradients here — the bucketed engine averages in its
-      // flat staging buffers and only scatters back in finish_step —
+      // hold local gradients here — the engine averages in its flat
+      // staging buffers and only scatters back in finish_step —
       // and after averaging every rank is identical, so per-rank
       // divergence is only visible now.
       double local_gn = 0.0;
@@ -166,18 +136,11 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
 
       {
         // The defining DDP collective: average gradients across ranks.
-        // For the bucketed path this histogram records only the
-        // *exposed* tail (most reduction time hides under backward);
-        // the monolithic path stages flatten/allreduce/unflatten here.
+        // This histogram records only the *exposed* tail after backward;
+        // most reduction time hides under the backward walk.
         MATSCI_TRACE_SCOPE("ddp/allreduce");
         const obs::StopWatch watch;
-        if (engine) {
-          engine->finish_step();
-        } else {
-          std::vector<float> flat = flatten_grads(params);
-          comm.allreduce_mean(flat);
-          unflatten_grads(flat, params);
-        }
+        engine.finish_step();
         allreduce_us.observe(watch.elapsed_us());
       }
 
@@ -318,12 +281,9 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
     sh.result.total_samples = all_samples;
     sh.result.total_steps = local_steps;
     sh.result.final_world = comm.world_size();
-    if (engine) {
-      sh.result.comm_bytes += engine->totals().bytes;
-      sh.result.comm_compressed_bytes += engine->totals().compressed_bytes;
-      sh.result.mean_overlap_fraction =
-          engine->totals().mean_overlap_fraction();
-    }
+    sh.result.comm_bytes += engine.totals().bytes;
+    sh.result.comm_compressed_bytes += engine.totals().compressed_bytes;
+    sh.result.mean_overlap_fraction = engine.totals().mean_overlap_fraction();
   }
 }
 

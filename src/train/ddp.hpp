@@ -33,14 +33,11 @@ struct DDPOptions {
   obs::health::HealthOptions health;
   /// Rank-0 anomaly callback (same semantics as Trainer's).
   Trainer::AnomalyCallback on_anomaly;
-  /// Bucketed overlapped allreduce (comm/coll): gradients stream out in
+  /// Gradient averaging (comm/coll): gradients stream out in
   /// reverse-registration-order buckets as backward finalizes them,
   /// each bucket reducing on the shared pool while backward continues.
-  /// Identity compression is bit-identical to the monolithic path; set
-  /// false to fall back to one flat post-backward allreduce.
-  bool use_buckets = true;
   /// Bucket sizing + compressor selection (identity / int8 / top-k with
-  /// error feedback) for the bucketed path.
+  /// error feedback).
   comm::coll::CollOptions coll;
   /// Elastic recovery (DESIGN.md §12): when a rank dies mid-training,
   /// survivors rebuild a resized group, re-invoke the factory with
@@ -67,8 +64,8 @@ struct DDPResult {
   std::int64_t recoveries = 0;             ///< group rebuilds performed
   std::vector<std::int64_t> lost_ranks;    ///< original-group numbering
   std::int64_t final_world = 0;            ///< world size at completion
-  /// Bucketed-path communication accounting (rank-0 view, summed over
-  /// incarnations; zero when use_buckets is false).
+  /// Gradient-allreduce accounting (rank-0 view, summed over
+  /// incarnations).
   std::int64_t comm_bytes = 0;             ///< fp32 payload posted
   std::int64_t comm_compressed_bytes = 0;  ///< simulated wire bytes
   double mean_overlap_fraction = 0.0;      ///< mean over steps
@@ -88,11 +85,5 @@ class DDPTrainer {
 
   DDPResult fit(const Factory& factory, const DDPOptions& opts);
 };
-
-/// Flatten all parameter gradients into one contiguous buffer (the DDP
-/// "bucket"), and scatter it back. Exposed for tests.
-std::vector<float> flatten_grads(const std::vector<core::Tensor>& params);
-void unflatten_grads(const std::vector<float>& flat,
-                     std::vector<core::Tensor>& params);
 
 }  // namespace matsci::train

@@ -12,9 +12,10 @@ namespace matsci::train {
 
 namespace {
 
-/// Step-phase telemetry shared by Trainer and DDPTrainer ranks: the
-/// paper's forward / backward / optimizer decomposition (the allreduce
-/// phase is recorded by comm::Communicator itself).
+/// Step-phase telemetry of Trainer::fit: the paper's forward / backward
+/// / optimizer decomposition. DDPTrainer ranks do not record these; they
+/// time only the exposed allreduce tail (`ddp.allreduce_us`) and emit
+/// ddp/* trace spans.
 struct TrainMetrics {
   obs::Counter& steps;
   obs::Counter& epochs;

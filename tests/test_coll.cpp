@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -100,37 +102,6 @@ TEST(GradBucketer, FlattenUnflattenRoundTripAndUnknownPayload) {
 TEST(GradBucketer, DuplicateParamThrows) {
   Tensor p = Tensor::zeros({4});
   EXPECT_THROW(comm::coll::GradBucketer({p, p}, 1 << 20), matsci::Error);
-}
-
-// ---------------------------------------------------------------------------
-// train::flatten_grads / unflatten_grads edge cases
-// ---------------------------------------------------------------------------
-
-TEST(FlattenGrads, EmptyParamListYieldsEmptyBuffer) {
-  std::vector<Tensor> params;
-  const std::vector<float> flat = train::flatten_grads(params);
-  EXPECT_TRUE(flat.empty());
-  std::vector<Tensor> params2;
-  EXPECT_NO_THROW(train::unflatten_grads(flat, params2));
-}
-
-TEST(FlattenGrads, UnmaterializedGradsFlattenAsZeros) {
-  // No backward has run: grad_span() materializes zeros on demand, so
-  // the flat buffer is well-defined (all zeros of the right size).
-  std::vector<Tensor> params = {Tensor::zeros({3}), Tensor::zeros({2, 2})};
-  const std::vector<float> flat = train::flatten_grads(params);
-  ASSERT_EQ(flat.size(), 7u);
-  for (const float f : flat) EXPECT_EQ(f, 0.0f);
-}
-
-TEST(FlattenGrads, ZeroSizeParamRoundTrip) {
-  std::vector<Tensor> params = {Tensor::zeros({0}), Tensor::zeros({2})};
-  for (float& g : params[1].grad_span()) g = 3.0f;
-  std::vector<float> flat = train::flatten_grads(params);
-  ASSERT_EQ(flat.size(), 2u);
-  flat[0] = 9.0f;
-  train::unflatten_grads(flat, params);
-  EXPECT_FLOAT_EQ(params[1].grad_span()[0], 9.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,24 +430,90 @@ TEST(DdpColl, CompressedTrainingConvergesNearIdentity) {
   EXPECT_LT(tk.comm_compressed_bytes, tk.comm_bytes);
 }
 
-TEST(DdpColl, BucketedIdentityMatchesMonolithicPath) {
-  materials::MaterialsProjectDataset ds(16, 29);
-  const auto run = [&ds](bool buckets) {
+TEST(DdpColl, IdentityReductionMatchesReferenceBitExact) {
+  // Reference: one replica + optimizer per rank (each with its own
+  // dropout stream, as each DDP rank has), gradients summed per element
+  // in double in ascending rank order, cast once to float and scaled by
+  // 1/world — the numerics of GroupState::reduce.
+  materials::MaterialsProjectDataset ds(40, 29);
+  for (const std::int64_t world : {1, 2, 3}) {
+    std::vector<Tensor> ddp_params;
+    const train::DDPTrainer::Factory base = make_factory(ds);
+    const train::DDPTrainer::Factory factory = [&](std::int64_t rank,
+                                                   std::int64_t ws) {
+      train::RankContext ctx = base(rank, ws);
+      if (rank == 0) ddp_params = ctx.task->parameters();
+      return ctx;
+    };
     train::DDPTrainer ddp;
     train::DDPOptions opts;
-    opts.world_size = 2;
+    opts.world_size = world;
     opts.max_epochs = 1;
     opts.grad_clip = 1.0;
-    opts.use_buckets = buckets;
-    return ddp.fit(make_factory(ds), opts);
-  };
-  const train::DDPResult bucketed = run(true);
-  const train::DDPResult monolithic = run(false);
-  // Identity bucketed reduction reproduces the monolithic numerics
-  // bit-for-bit, so the training trajectories are identical.
-  ASSERT_EQ(bucketed.epochs.size(), monolithic.epochs.size());
-  EXPECT_DOUBLE_EQ(bucketed.epochs.back().train.at("loss"),
-                   monolithic.epochs.back().train.at("loss"));
+    const train::DDPResult result = ddp.fit(factory, opts);
+
+    // make_task(13) on every rank, so DDP's initial broadcast is a no-op.
+    std::vector<std::unique_ptr<tasks::ScalarRegressionTask>> replicas;
+    std::vector<std::vector<Tensor>> params;
+    std::vector<std::unique_ptr<optim::SGD>> optims;
+    std::vector<std::unique_ptr<data::DataLoader>> loaders;
+    std::int64_t num_batches = -1;
+    for (std::int64_t r = 0; r < world; ++r) {
+      replicas.push_back(make_task(13));
+      replicas.back()->train(true);
+      params.push_back(replicas.back()->parameters());
+      optims.push_back(std::make_unique<optim::SGD>(
+          params.back(), optim::SGDOptions{.lr = 0.01}));
+      loaders.push_back(std::make_unique<data::DataLoader>(
+          ds, loader_opts(4, r, world)));
+      loaders.back()->set_epoch(0);
+      const std::int64_t nb = loaders.back()->num_batches();
+      num_batches = num_batches < 0 ? nb : std::min(num_batches, nb);
+    }
+    ASSERT_GT(num_batches, 0);
+    ASSERT_EQ(result.total_steps, num_batches);
+    const float inv = 1.0f / static_cast<float>(world);
+    for (std::int64_t b = 0; b < num_batches; ++b) {
+      for (std::int64_t r = 0; r < world; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        optims[ri]->zero_grad();
+        replicas[ri]->step(loaders[ri]->batch(b)).loss.backward();
+      }
+      for (std::size_t i = 0; i < params[0].size(); ++i) {
+        std::vector<std::span<float>> grads;
+        for (std::vector<Tensor>& p : params) grads.push_back(p[i].grad_span());
+        for (std::size_t j = 0; j < grads[0].size(); ++j) {
+          double acc = 0.0;
+          for (const std::span<float>& g : grads) {
+            acc += static_cast<double>(g[j]);
+          }
+          float v = static_cast<float>(acc);
+          v *= inv;
+          for (const std::span<float>& g : grads) g[j] = v;
+        }
+      }
+      for (const auto& opt : optims) {
+        opt->clip_grad_norm(1.0);
+        opt->step();
+      }
+    }
+
+    const std::vector<Tensor>& ref = params[0];
+    ASSERT_EQ(ddp_params.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const std::span<const float> got = ddp_params[i].span();
+      const std::span<const float> want = ref[i].span();
+      ASSERT_EQ(got.size(), want.size());
+      std::int64_t mismatches = 0;
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        if (std::bit_cast<std::uint32_t>(got[j]) !=
+            std::bit_cast<std::uint32_t>(want[j])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "world " << world << " parameter " << i;
+    }
+  }
 }
 
 TEST(DdpColl, ElasticRecoveryAfterRankKilledMidEpoch) {

@@ -17,7 +17,6 @@ TEST(Communicator, SingleRankCollectivesAreNoOps) {
     std::vector<float> data = {1.0f, 2.0f};
     comm.allreduce_sum(data);
     EXPECT_FLOAT_EQ(data[0], 1.0f);
-    comm.allreduce_mean(data);
     EXPECT_FLOAT_EQ(data[1], 2.0f);
     comm.broadcast(data, 0);
     comm.barrier();
@@ -35,15 +34,6 @@ TEST_P(CommWorldTest, AllreduceSumAcrossRanks) {
     // Sum of 1..world in slot 0, world*10 in slot 1.
     EXPECT_FLOAT_EQ(data[0], static_cast<float>(world * (world + 1) / 2));
     EXPECT_FLOAT_EQ(data[1], static_cast<float>(world * 10));
-  });
-}
-
-TEST_P(CommWorldTest, AllreduceMeanAcrossRanks) {
-  const std::int64_t world = GetParam();
-  run_ranks(world, [world](Communicator& comm) {
-    std::vector<float> data = {static_cast<float>(comm.rank())};
-    comm.allreduce_mean(data);
-    EXPECT_NEAR(data[0], static_cast<double>(world - 1) / 2.0, 1e-5);
   });
 }
 

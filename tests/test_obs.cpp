@@ -15,7 +15,6 @@
 #include "core/macros.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "obs/obs.hpp"
-#include "serve/stats.hpp"
 #include "train/logging.hpp"
 
 namespace {
@@ -472,48 +471,7 @@ TEST(ObsExport, BenchReporterWritesValidArtifacts) {
   std::remove(reporter.trace_json_path().c_str());
 }
 
-// --- Integration with serve / train ------------------------------------------
-
-TEST(ObsServerStats, JsonShapeAndCountsUnchanged) {
-  serve::ServerStats stats;
-  stats.record_batch(4, {100.0, 200.0, 300.0, 400.0});
-  stats.record_batch(2, {500.0, 600.0});
-  EXPECT_EQ(stats.requests_served(), 6);
-  EXPECT_EQ(stats.batches_executed(), 2);
-  const std::string json = stats.to_json();
-  for (const char* key :
-       {"\"requests\":6", "\"batches\":2", "\"mean_batch_size\":",
-        "\"throughput_structs_per_s\":", "\"p50_us\":", "\"p95_us\":",
-        "\"p99_us\":", "\"mean_us\":", "\"max_us\":"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
-  }
-  const serve::LatencySummary s = stats.latency_summary();
-  EXPECT_DOUBLE_EQ(s.mean_us, 350.0);
-  EXPECT_DOUBLE_EQ(s.max_us, 600.0);
-}
-
-// Many threads hammering one ServerStats: counts stay exact (the
-// original motivation: the histogram path must not trade correctness
-// for dropping the under-mutex sort).
-TEST(ObsServerStats, ConcurrentRecordBatchExactCounts) {
-  serve::ServerStats stats;
-  constexpr int kThreads = 8;
-  constexpr int kBatches = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&stats] {
-      for (int i = 0; i < kBatches; ++i) {
-        stats.record_batch(3, {10.0, 20.0, 30.0});
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(stats.requests_served(), kThreads * kBatches * 3);
-  EXPECT_EQ(stats.batches_executed(), kThreads * kBatches);
-  EXPECT_EQ(stats.latency_summary().max_us, 30.0);
-  const auto hist = stats.batch_size_histogram();
-  EXPECT_EQ(hist.at(3), kThreads * kBatches);
-}
+// --- Integration with train --------------------------------------------------
 
 TEST(ObsMetricsLogger, ForwardsSeriesAndKeepsCsvFormat) {
   obs::MetricsRegistry::global().series("train.test_obs_loss").reset();

@@ -280,6 +280,16 @@ TEST(TelemetryServerTest, ConcurrentScrapesWhileShardsMutate) {
   std::atomic<bool> stop{false};
   core::parallel::ThreadPool& pool = core::parallel::ThreadPool::global();
   std::vector<core::parallel::TaskHandle> mutators;
+  // Stops and reclaims the mutators on every exit path: a failed ASSERT
+  // returns early, and the mutators must not outlive `stop`.
+  struct StopMutators {
+    std::atomic<bool>& stop;
+    std::vector<core::parallel::TaskHandle>& mutators;
+    ~StopMutators() {
+      stop.store(true, std::memory_order_relaxed);
+      for (core::parallel::TaskHandle& m : mutators) m.run_now_or_wait();
+    }
+  } stop_mutators{stop, mutators};
   for (int i = 0; i < 2; ++i) {
     mutators.push_back(pool.submit([&stop] {
       Counter& c = MetricsRegistry::global().counter("test.http.churn");
@@ -305,9 +315,6 @@ TEST(TelemetryServerTest, ConcurrentScrapesWhileShardsMutate) {
         << "scrape " << i << ": " << error;
     ++valid;
   }
-  stop.store(true, std::memory_order_relaxed);
-  for (core::parallel::TaskHandle& m : mutators) m.run_now_or_wait();
-  server.stop();
   EXPECT_EQ(valid, 20);
 }
 

@@ -15,6 +15,7 @@
 #include "core/macros.hpp"
 #include "materials/materials_project.hpp"
 #include "models/egnn.hpp"
+#include "obs/metrics.hpp"
 #include "optim/adam.hpp"
 #include "serve/serve.hpp"
 #include "tasks/multitask.hpp"
@@ -69,36 +70,6 @@ std::vector<data::StructureSample> sample_pool(std::int64_t n,
   pool.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) pool.push_back(ds.get(i));
   return pool;
-}
-
-// --- ServerStats ------------------------------------------------------------
-
-TEST(ServerStats, CountsHistogramAndPercentiles) {
-  ServerStats stats;
-  stats.record_batch(4, {100.0, 200.0, 300.0, 400.0});
-  stats.record_batch(2, {500.0, 600.0});
-  stats.record_batch(4, {700.0, 800.0, 900.0, 1000.0});
-
-  EXPECT_EQ(stats.requests_served(), 10);
-  EXPECT_EQ(stats.batches_executed(), 3);
-  EXPECT_NEAR(stats.mean_batch_size(), 10.0 / 3.0, 1e-12);
-  const auto hist = stats.batch_size_histogram();
-  EXPECT_EQ(hist.at(4), 2);
-  EXPECT_EQ(hist.at(2), 1);
-
-  const LatencySummary s = stats.latency_summary();
-  EXPECT_NEAR(s.p50_us, 500.0, 100.0 + 1e-9);
-  EXPECT_GE(s.p95_us, 900.0);
-  EXPECT_EQ(s.max_us, 1000.0);
-  EXPECT_NEAR(s.mean_us, 550.0, 1e-9);
-
-  const std::string json = stats.to_json();
-  EXPECT_NE(json.find("\"requests\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_us\":"), std::string::npos);
-
-  stats.reset();
-  EXPECT_EQ(stats.requests_served(), 0);
-  EXPECT_EQ(stats.latency_summary().max_us, 0.0);
 }
 
 // --- RequestQueue flush policy ----------------------------------------------
@@ -341,6 +312,23 @@ TEST(InferenceSession, LoadsTrainingCheckpointWeights) {
 
 // --- BatchScheduler ---------------------------------------------------------
 
+/// The scheduler's request and batch counters in the global registry.
+/// Tests take one before building a scheduler and subtract it once the
+/// scheduler is drained.
+struct RegistryCounts {
+  std::int64_t requests =
+      obs::MetricsRegistry::global().counter("serve.requests").value();
+  std::int64_t batches =
+      obs::MetricsRegistry::global().counter("serve.batches").value();
+
+  RegistryCounts operator-(const RegistryCounts& o) const {
+    RegistryCounts d = *this;
+    d.requests -= o.requests;
+    d.batches -= o.batches;
+    return d;
+  }
+};
+
 TEST(BatchScheduler, ConcurrentClientsAllReceiveExactResults) {
   auto session =
       std::make_shared<InferenceSession>(make_task(51), session_options());
@@ -352,6 +340,7 @@ TEST(BatchScheduler, ConcurrentClientsAllReceiveExactResults) {
     reference.push_back(session->predict({s}, "band_gap")[0].value);
   }
 
+  const RegistryCounts before;
   SchedulerOptions opts;
   opts.max_batch_size = 16;
   opts.max_wait_us = 500;
@@ -384,11 +373,11 @@ TEST(BatchScheduler, ConcurrentClientsAllReceiveExactResults) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(scheduler.stats().requests_served(), kClients * kPerClient);
-  EXPECT_GT(scheduler.stats().batches_executed(), 0);
+  const RegistryCounts served = RegistryCounts() - before;
+  EXPECT_EQ(served.requests, kClients * kPerClient);
+  EXPECT_GT(served.batches, 0);
   // Micro-batching engaged: fewer batches than requests.
-  EXPECT_LT(scheduler.stats().batches_executed(),
-            static_cast<std::int64_t>(kClients * kPerClient));
+  EXPECT_LT(served.batches, static_cast<std::int64_t>(kClients * kPerClient));
 }
 
 TEST(BatchScheduler, ShutdownDrainsInFlightWithoutDeadlock) {
@@ -427,6 +416,7 @@ TEST(BatchScheduler, BoundedQueueShedsBurstsInsteadOfGrowing) {
       std::make_shared<InferenceSession>(make_task(63), session_options());
   const auto pool = sample_pool(4, 64);
 
+  const RegistryCounts before;
   SchedulerOptions opts;
   opts.max_batch_size = 1;  // one forward per request: slowest drain
   opts.max_wait_us = 0;
@@ -457,8 +447,9 @@ TEST(BatchScheduler, BoundedQueueShedsBurstsInsteadOfGrowing) {
     EXPECT_NO_THROW(f.get());
   }
   scheduler.shutdown();
-  EXPECT_EQ(scheduler.stats().requests_served(),
-            static_cast<std::int64_t>(accepted.size()));
+  const RegistryCounts served = RegistryCounts() - before;
+  EXPECT_EQ(served.requests, static_cast<std::int64_t>(accepted.size()));
+  EXPECT_EQ(served.batches, served.requests);  // max_batch_size = 1
 }
 
 TEST(BatchScheduler, TrySubmitReportsShutdown) {

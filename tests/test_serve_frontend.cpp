@@ -524,6 +524,9 @@ TEST(ServeFrontend, HotSwapUnderLoadLosesNoInFlightRequests) {
   opts.max_wait_us = 500;
   opts.num_workers = 2;
   frontend.deploy("m", 1, make_session(task), opts);
+  // Built before any forward runs: the session constructor switches the
+  // shared task to eval mode, a write that must not race v1's forwards.
+  const std::shared_ptr<InferenceSession> v2 = make_session(task);
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
@@ -557,7 +560,7 @@ TEST(ServeFrontend, HotSwapUnderLoadLosesNoInFlightRequests) {
   // drains, v2 takes over, and nobody loses a request or sees a
   // different answer.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  frontend.deploy("m", 2, make_session(task), opts);
+  frontend.deploy("m", 2, v2, opts);
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(lost.load(), 0);

@@ -157,26 +157,6 @@ TEST(Trainer, GradAccumulationMatchesManualAverage) {
   }
 }
 
-TEST(Ddp, FlattenUnflattenRoundTrip) {
-  RngEngine rng(30);
-  auto task = make_task(12);
-  auto params = task->parameters();
-  // Fill grads with a recognizable pattern.
-  float v = 0.0f;
-  for (core::Tensor p : params) {
-    for (float& g : p.grad_span()) g = v += 1.0f;
-  }
-  const std::vector<float> flat = flatten_grads(params);
-  EXPECT_EQ(static_cast<std::int64_t>(flat.size()),
-            task->num_parameters());
-  // Zero then restore.
-  for (core::Tensor p : params) p.zero_grad();
-  unflatten_grads(flat, params);
-  EXPECT_FLOAT_EQ(params[0].grad_span()[0], 1.0f);
-  const std::vector<float> again = flatten_grads(params);
-  EXPECT_EQ(flat, again);
-}
-
 TEST(Ddp, TwoRankTrainingMatchesManualSynchronousReference) {
   materials::MaterialsProjectDataset ds(32, 27);
   const std::int64_t world = 2;
