@@ -202,6 +202,9 @@ struct OptimizerCase {
   std::function<std::unique_ptr<optim::Optimizer>(std::vector<Tensor>)> make;
 };
 
+// Keeps the discovered ctest name free of pointer bytes (see test_sym.cpp).
+void PrintTo(const OptimizerCase& c, std::ostream* os) { *os << c.name; }
+
 class OptimizerDescentTest : public ::testing::TestWithParam<OptimizerCase> {};
 
 TEST_P(OptimizerDescentTest, ReducesConvexObjective) {

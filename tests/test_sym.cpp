@@ -88,6 +88,10 @@ struct GroupOrderCase {
   std::size_t order;
 };
 
+// gtest would otherwise print the raw bytes, pointer included, into the
+// discovered ctest name, which then changes with every process's load address.
+void PrintTo(const GroupOrderCase& c, std::ostream* os) { *os << c.name; }
+
 class PointGroupOrderTest : public ::testing::TestWithParam<GroupOrderCase> {};
 
 TEST_P(PointGroupOrderTest, OrderMatchesTextbook) {
