@@ -116,8 +116,8 @@ struct OpenLoopResult {
   double scrape_mean_us = 0.0;
   double scrape_max_us = 0.0;
   /// 1 when the last served request's trace id shows up in spans for
-  /// admission, queue wait, and forward (vacuously 1 with obs off).
-  std::int64_t trace_continuity_ok = 1;
+  /// admission, queue wait, and forward.
+  std::int64_t trace_continuity_ok = 0;
 
   double shed_rate() const {
     return offered == 0
@@ -147,11 +147,16 @@ OpenLoopResult run_open_loop(
     const std::vector<data::StructureSample>& pool,
     const data::StructureSample& probe, const std::vector<float>& reference,
     double capacity_rps, double multiplier, double duration_s, bool hot_swap,
-    obs::http::TelemetryServer* telemetry) {
+    obs::http::TelemetryServer& telemetry) {
   serve::frontend::FrontendOptions fopts;
   fopts.cache.capacity = 1024;
   serve::frontend::ServeFrontend frontend(fopts);
   frontend.deploy(kModel, 1, make_session(task), scheduler_options());
+  // Built before the generator starts: the session constructor switches
+  // the shared task to eval mode, a write that must not race v1's
+  // forwards. Deployed at half-time below.
+  std::shared_ptr<serve::InferenceSession> v2 =
+      hot_swap ? make_session(task) : nullptr;
 
   OpenLoopResult r;
   r.multiplier = multiplier;
@@ -229,20 +234,18 @@ OpenLoopResult run_open_loop(
     bool swapped = false;
     double scrape_total_us = 0.0;
     while (Clock::now() < window_end) {
-      auto wake = window_end;
-      if (telemetry != nullptr) wake = std::min(wake, next_scrape);
+      auto wake = std::min(window_end, next_scrape);
       if (hot_swap && !swapped) wake = std::min(wake, half_time);
       std::this_thread::sleep_until(wake);
       if (hot_swap && !swapped && Clock::now() >= half_time) {
-        frontend.deploy(kModel, 2, make_session(task),
-                        scheduler_options());
+        frontend.deploy(kModel, 2, std::move(v2), scheduler_options());
         swapped = true;
         ++r.hot_swaps;
       }
-      if (telemetry != nullptr && Clock::now() >= next_scrape) {
+      if (Clock::now() >= next_scrape) {
         const obs::StopWatch watch;
         const obs::http::HttpResponse resp =
-            obs::http::http_get("127.0.0.1", telemetry->port(), "/metrics");
+            obs::http::http_get("127.0.0.1", telemetry.port(), "/metrics");
         const double us = watch.elapsed_us();
         ++r.scrapes;
         scrape_total_us += us;
@@ -291,28 +294,23 @@ OpenLoopResult run_open_loop(
   // trace id. Probing after the window keeps the check immune to ring
   // wrap: under overload the warm response cache serves hundreds of
   // thousands of hits whose cache-stage spans overwrite every earlier
-  // span, so no mid-window request's full span set survives. Vacuous
-  // with obs off (compiled_in() is false, no ids are minted).
-  if (obs::http::TelemetryServer::compiled_in()) {
-    r.trace_continuity_ok = 0;
-    serve::frontend::FrontendRequestOptions popts;
-    popts.deadline_us = 500'000;
-    serve::frontend::SubmitOutcome probe_out =
-        frontend.submit(kModel, probe, kTarget, popts);
-    if (probe_out.status == serve::frontend::SubmitStatus::kAccepted &&
-        probe_out.trace.valid()) {
-      (void)probe_out.future.get();
-      const std::uint64_t probe_trace = probe_out.trace.trace_id();
-      bool admission = false, queue_wait = false, forward = false;
-      for (const obs::TraceEvent& e : obs::Tracer::global().collect()) {
-        if (e.trace_id != probe_trace || e.name == nullptr) continue;
-        const std::string_view name(e.name);
-        admission = admission || name == "serve/stage/admission";
-        queue_wait = queue_wait || name == "serve/stage/queue_wait";
-        forward = forward || name == "serve/stage/forward";
-      }
-      r.trace_continuity_ok = admission && queue_wait && forward ? 1 : 0;
+  // span, so no mid-window request's full span set survives.
+  serve::frontend::FrontendRequestOptions popts;
+  popts.deadline_us = 500'000;
+  serve::frontend::SubmitOutcome probe_out =
+      frontend.submit(kModel, probe, kTarget, popts);
+  if (probe_out.status == serve::frontend::SubmitStatus::kAccepted) {
+    (void)probe_out.future.get();
+    const std::uint64_t probe_trace = probe_out.trace.trace_id();
+    bool admission = false, queue_wait = false, forward = false;
+    for (const obs::TraceEvent& e : obs::Tracer::global().collect()) {
+      if (e.trace_id != probe_trace || e.name == nullptr) continue;
+      const std::string_view name(e.name);
+      admission = admission || name == "serve/stage/admission";
+      queue_wait = queue_wait || name == "serve/stage/queue_wait";
+      forward = forward || name == "serve/stage/forward";
     }
+    r.trace_continuity_ok = admission && queue_wait && forward ? 1 : 0;
   }
   return r;
 }
@@ -360,15 +358,12 @@ int main(int argc, char** argv) {
   // needs a pool slot — see http_server.hpp). Ephemeral port; the main
   // thread scrapes it mid-overload inside run_open_loop.
   obs::http::TelemetryServer telemetry;
-  const bool telemetry_up = telemetry.start();
-  if (obs::http::TelemetryServer::compiled_in() && !telemetry_up) {
+  if (!telemetry.start()) {
     std::fprintf(stderr, "FAIL: telemetry server did not start: %s\n",
                  telemetry.last_error().c_str());
     return 1;
   }
-  if (telemetry_up) {
-    std::printf("telemetry server on 127.0.0.1:%d\n", telemetry.port());
-  }
+  std::printf("telemetry server on 127.0.0.1:%d\n", telemetry.port());
 
   auto task = make_bench_task();
   auto session = make_session(task);
@@ -408,8 +403,7 @@ int main(int argc, char** argv) {
         obs::MetricsRegistry::global().snapshot();
     const OpenLoopResult r =
         run_open_loop(task, pool, probe, reference, capacity_rps, mult,
-                      duration_s, hot_swap,
-                      telemetry_up ? &telemetry : nullptr);
+                      duration_s, hot_swap, telemetry);
     const obs::MetricsRegistry::Snapshot after =
         obs::MetricsRegistry::global().snapshot();
     std::printf("%6.1f %12.0f %10.0f %10.2f %10.2f %10.3f %10.3f %9lld "
@@ -431,28 +425,26 @@ int main(int argc, char** argv) {
                    mult, static_cast<long long>(r.max_queue_depth));
       ++failures;
     }
-    if (telemetry_up) {
-      std::printf("       telemetry: %lld/%lld scrapes validator-clean, "
-                  "mean %.0f us, max %.0f us, trace continuity %s\n",
-                  static_cast<long long>(r.scrapes_valid),
-                  static_cast<long long>(r.scrapes), r.scrape_mean_us,
-                  r.scrape_max_us,
-                  r.trace_continuity_ok != 0 ? "ok" : "BROKEN");
-      if (r.scrapes == 0 || r.scrapes_valid != r.scrapes) {
-        std::fprintf(stderr,
-                     "FAIL at %gx: %lld/%lld mid-overload scrapes "
-                     "validator-clean (all must be)\n",
-                     mult, static_cast<long long>(r.scrapes_valid),
-                     static_cast<long long>(r.scrapes));
-        ++failures;
-      }
-      if (r.trace_continuity_ok == 0) {
-        std::fprintf(stderr,
-                     "FAIL at %gx: last served request's trace id missing "
-                     "from admission/queue_wait/forward spans\n",
-                     mult);
-        ++failures;
-      }
+    std::printf("       telemetry: %lld/%lld scrapes validator-clean, "
+                "mean %.0f us, max %.0f us, trace continuity %s\n",
+                static_cast<long long>(r.scrapes_valid),
+                static_cast<long long>(r.scrapes), r.scrape_mean_us,
+                r.scrape_max_us,
+                r.trace_continuity_ok != 0 ? "ok" : "BROKEN");
+    if (r.scrapes == 0 || r.scrapes_valid != r.scrapes) {
+      std::fprintf(stderr,
+                   "FAIL at %gx: %lld/%lld mid-overload scrapes "
+                   "validator-clean (all must be)\n",
+                   mult, static_cast<long long>(r.scrapes_valid),
+                   static_cast<long long>(r.scrapes));
+      ++failures;
+    }
+    if (r.trace_continuity_ok == 0) {
+      std::fprintf(stderr,
+                   "FAIL at %gx: last served request's trace id missing "
+                   "from admission/queue_wait/forward spans\n",
+                   mult);
+      ++failures;
     }
     reporter.add(obs::JsonRecord()
                      .set("closed_loop", false)

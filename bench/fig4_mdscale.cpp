@@ -145,7 +145,7 @@ ScaleResult run_at_wave_size(ServeFrontend& fe,
   // (fresh enough to survive ring wrap) must show up both in the wave
   // span and in the serve tier's forward-stage spans.
   const std::uint64_t wave_trace = backend->last_wave_trace_id();
-  if (obs::http::TelemetryServer::compiled_in() && wave_trace != 0) {
+  if (wave_trace != 0) {
     bool wave_span = false, forward_span = false;
     for (const obs::TraceEvent& e : obs::Tracer::global().collect()) {
       if (e.trace_id != wave_trace || e.name == nullptr) continue;
@@ -193,11 +193,8 @@ void run_md_scale(obs::BenchReporter& reporter) {
   std::printf("%-14s %12.1f %12.2f\n", "wave", wave.frames_per_s,
               wave.mean_batch_occupancy);
   std::printf("speedup: %.2fx  (acceptance: >= 3x)\n", speedup);
-  if (obs::http::TelemetryServer::compiled_in()) {
-    std::printf("wave trace continuity (sim/wave -> serve/stage/forward): "
-                "%s\n",
-                wave.trace_continuity_ok != 0 ? "ok" : "BROKEN");
-  }
+  std::printf("wave trace continuity (sim/wave -> serve/stage/forward): %s\n",
+              wave.trace_continuity_ok != 0 ? "ok" : "BROKEN");
 
   reporter.add(obs::JsonRecord()
                    .set("record", "md_scale")

@@ -1,12 +1,6 @@
 #!/usr/bin/env bash
 # CI build matrix for configurations tier-1 verify does not cover:
 #
-#   obs-off   -DMATSCI_OBS=OFF build + the obs/health test labels —
-#             proves the MATSCI_TRACE_SCOPE compile-out path and the
-#             health monitor still build and pass without the macro.
-#             The obs_http label matches the "obs" regex too: the
-#             telemetry-plane tests must all GTEST_SKIP cleanly there
-#             (zero-size TraceContext, no socket code linked).
 #   tsan      -DMATSCI_SANITIZE=thread build running every
 #             concurrency-sensitive label (serve, parallel, obs,
 #             obs_http, health, ddp, sim) — the health monitor runs inside DDP
@@ -36,22 +30,14 @@
 #             must keep passing the full suite on machines whose
 #             default backend is AVX2/AVX-512, or it rots unnoticed.
 #
-# Usage: ci_matrix.sh [obs-off|tsan|asan|scalar|all]   (default: all)
-# Build trees land in build-obs-off/, build-tsan/, build-asan/, and
-# build-scalar/ at the repo root.
+# Usage: ci_matrix.sh [tsan|asan|scalar|all]   (default: all)
+# Build trees land in build-tsan/, build-asan/, and build-scalar/ at the
+# repo root.
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 stage="${1:-all}"
 jobs="${MATSCI_CI_JOBS:-$(nproc)}"
-
-run_obs_off() {
-  echo "=== ci_matrix: obs-off (-DMATSCI_OBS=OFF) ==="
-  cmake -B "$repo_root/build-obs-off" -S "$repo_root" -DMATSCI_OBS=OFF
-  cmake --build "$repo_root/build-obs-off" -j "$jobs"
-  ctest --test-dir "$repo_root/build-obs-off" -L "obs|health" \
-    --output-on-failure -j "$jobs"
-}
 
 run_tsan() {
   echo "=== ci_matrix: tsan (-DMATSCI_SANITIZE=thread) ==="
@@ -86,18 +72,16 @@ run_scalar() {
 }
 
 case "$stage" in
-  obs-off) run_obs_off ;;
   tsan) run_tsan ;;
   asan) run_asan ;;
   scalar) run_scalar ;;
   all)
-    run_obs_off
     run_tsan
     run_asan
     run_scalar
     ;;
   *)
-    echo "ci_matrix: unknown stage '$stage' (obs-off|tsan|asan|scalar|all)" >&2
+    echo "ci_matrix: unknown stage '$stage' (tsan|asan|scalar|all)" >&2
     exit 2
     ;;
 esac

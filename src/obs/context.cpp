@@ -20,8 +20,6 @@ InflightSet& InflightSet::global() {
   return *set;
 }
 
-#if defined(MATSCI_OBS_ENABLED)
-
 namespace {
 
 /// Unique non-zero 64-bit id: a relaxed counter pushed through the
@@ -99,7 +97,5 @@ std::size_t InflightSet::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
 }
-
-#endif  // MATSCI_OBS_ENABLED
 
 }  // namespace matsci::obs

@@ -12,13 +12,6 @@
 // Contexts are minted from a process-wide counter hashed through a
 // splitmix64 finalizer, so ids are unique, non-zero, and cheap (one
 // relaxed fetch_add, no locks, no clock reads).
-//
-// Under -DMATSCI_OBS=OFF the struct is empty (zero-size via
-// [[no_unique_address]] at embed sites), mint()/child() return the
-// empty context, every accessor returns 0, record_span() is a no-op
-// that evaluates nothing, and InflightSet compiles to stubs — the
-// carrying structs in serve/ shrink back to their pre-tracing layout
-// and no id-generation code runs.
 
 #include <cstdint>
 #include <mutex>
@@ -28,8 +21,6 @@
 #include "obs/trace.hpp"
 
 namespace matsci::obs {
-
-#if defined(MATSCI_OBS_ENABLED)
 
 struct TraceContext {
   std::uint64_t trace = 0;   ///< request-tree id, shared across hops
@@ -58,29 +49,6 @@ void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t dur_ns, const TraceContext& ctx,
                  std::uint64_t parent_span_id);
 
-/// Steady-clock ns for span endpoints; 0 (no clock read) when obs is
-/// compiled out.
-inline std::uint64_t span_clock_ns() { return Tracer::now_ns(); }
-
-#else  // !MATSCI_OBS_ENABLED
-
-struct TraceContext {
-  static TraceContext mint() { return {}; }
-  TraceContext child() const { return {}; }
-  bool valid() const { return false; }
-  std::uint64_t trace_id() const { return 0; }
-  std::uint64_t span_id() const { return 0; }
-  std::uint64_t parent_span_id() const { return 0; }
-};
-
-inline void record_span(const char*, std::uint64_t, std::uint64_t,
-                        const TraceContext&) {}
-inline void record_span(const char*, std::uint64_t, std::uint64_t,
-                        const TraceContext&, std::uint64_t) {}
-inline std::uint64_t span_clock_ns() { return 0; }
-
-#endif  // MATSCI_OBS_ENABLED
-
 /// Fixed-width lowercase hex rendering of a trace/span id — the wire
 /// form used by /tracez, exemplars, and flight-recorder bundles.
 std::string trace_id_hex(std::uint64_t id);
@@ -99,7 +67,6 @@ class InflightSet {
 
   static InflightSet& global();
 
-#if defined(MATSCI_OBS_ENABLED)
   void insert(const TraceContext& ctx);
   void erase(const TraceContext& ctx);
   std::vector<TraceContext> snapshot() const;
@@ -108,12 +75,6 @@ class InflightSet {
  private:
   mutable std::mutex mu_;
   std::vector<TraceContext> entries_;
-#else
-  void insert(const TraceContext&) {}
-  void erase(const TraceContext&) {}
-  std::vector<TraceContext> snapshot() const { return {}; }
-  std::size_t size() const { return 0; }
-#endif
 };
 
 }  // namespace matsci::obs

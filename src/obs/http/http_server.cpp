@@ -1,7 +1,5 @@
 #include "obs/http/http_server.hpp"
 
-#if defined(MATSCI_OBS_ENABLED)
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -377,10 +375,25 @@ std::string TelemetryServer::Impl::render_tracez() const {
 
 void TelemetryServer::Impl::handle_connection(int fd) {
   HttpMetrics& metrics = HttpMetrics::get();
+  // io_timeout_ms bounds reading the whole request, not each recv: a
+  // client trickling bytes must not hold the one dispatcher (and stop())
+  // beyond it.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(opts.io_timeout_ms);
   std::string request;
   char buf[2048];
   while (request.size() < 8192 &&
          request.find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    const int rc =
+        left.count() > 0 ? ::poll(&pfd, 1, static_cast<int>(left.count())) : 0;
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) {
+      metrics.errors.add(1);
+      return;  // request deadline expired; the caller closes the socket
+    }
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     request.append(buf, static_cast<std::size_t>(n));
@@ -483,41 +496,3 @@ HttpResponse http_get(const std::string& host, int port,
 }
 
 }  // namespace matsci::obs::http
-
-#else  // !MATSCI_OBS_ENABLED
-
-// Compiled-out build: keep the symbols so callers link unchanged, but
-// no socket headers, no pool task, no state beyond the error string.
-
-namespace matsci::obs::http {
-
-struct TelemetryServer::Impl {
-  std::string error = "telemetry server compiled out (MATSCI_OBS=OFF)";
-};
-
-TelemetryServer::TelemetryServer(TelemetryServerOptions)
-    : impl_(std::make_unique<Impl>()) {}
-TelemetryServer::~TelemetryServer() = default;
-
-bool TelemetryServer::start() { return false; }
-void TelemetryServer::stop() {}
-bool TelemetryServer::running() const { return false; }
-int TelemetryServer::port() const { return -1; }
-const std::string& TelemetryServer::last_error() const {
-  return impl_->error;
-}
-void TelemetryServer::set_health_source(std::function<HealthState()>) {}
-void TelemetryServer::add_statusz_section(const std::string&,
-                                          std::function<std::string()>) {}
-std::int64_t TelemetryServer::requests_served() const { return 0; }
-
-HttpResponse http_get(const std::string&, int, const std::string&,
-                      std::int64_t) {
-  HttpResponse resp;
-  resp.body = "telemetry server compiled out (MATSCI_OBS=OFF)";
-  return resp;
-}
-
-}  // namespace matsci::obs::http
-
-#endif  // MATSCI_OBS_ENABLED

@@ -32,10 +32,6 @@
 // pool size); otherwise the server's task may queue behind the
 // scheduler jobs until shutdown. Tests and benches in this repo start
 // the server first.
-//
-// Under -DMATSCI_OBS=OFF the class compiles to stubs — start() returns
-// false, port() returns -1 — and the .cpp's socket implementation is
-// preprocessed away entirely, so no socket code is linked.
 
 #include <cstdint>
 #include <functional>
@@ -61,7 +57,9 @@ struct TelemetryServerOptions {
   int port = 0;
   /// Most recent spans returned by /tracez (newest kept).
   std::int64_t tracez_limit = 512;
-  /// Per-connection socket send/receive timeout.
+  /// Deadline for reading a whole request, from accept; a client that
+  /// has not sent its full request head by then is counted in
+  /// obs.http.errors and closed. Also the socket send timeout.
   std::int64_t io_timeout_ms = 2000;
 };
 
@@ -73,9 +71,8 @@ class TelemetryServer {
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
   /// Bind, listen, and submit the dispatcher to the shared pool.
-  /// Returns false when the build has obs compiled out or the socket
-  /// setup fails (see last_error()); throwing here would turn a
-  /// missing telemetry port into an outage.
+  /// Returns false when the socket setup fails (see last_error());
+  /// throwing here would turn a missing telemetry port into an outage.
   bool start();
 
   /// Stop the dispatcher and close the socket. Idempotent; safe to
@@ -101,15 +98,6 @@ class TelemetryServer {
 
   /// Requests served since start() (all endpoints).
   std::int64_t requests_served() const;
-
-  /// True when the build carries the server (MATSCI_OBS=ON).
-  static constexpr bool compiled_in() {
-#if defined(MATSCI_OBS_ENABLED)
-    return true;
-#else
-    return false;
-#endif
-  }
 
  private:
   struct Impl;

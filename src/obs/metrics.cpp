@@ -64,11 +64,15 @@ double HistogramSnapshot::percentile(double q) const {
     const double in_bucket = static_cast<double>(counts[b]);
     if (in_bucket <= 0.0) continue;
     if (cumulative + in_bucket >= rank) {
-      const double lower = b == 0 ? 0.0 : bounds[b - 1];
-      const double upper = b < bounds.size() ? bounds[b] : max;
+      // Interpolate over the part of the bucket the samples can occupy:
+      // when they all share one bucket, [min, max] is narrower than its
+      // bounds, and interpolating across the bounds would push every
+      // upper quantile onto max.
+      const double lower = std::max(b == 0 ? 0.0 : bounds[b - 1], min);
+      const double upper = std::min(b < bounds.size() ? bounds[b] : max, max);
       const double frac = std::clamp((rank - cumulative) / in_bucket, 0.0, 1.0);
       const double est = lower + frac * (upper - lower);
-      return std::clamp(est, min, max);
+      return std::clamp(est, min, max);  // guards a snapshot racing observe()
     }
     cumulative += in_bucket;
   }

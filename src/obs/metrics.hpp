@@ -98,7 +98,7 @@ struct HistogramSnapshot {
 
   /// Bucket-interpolated quantile, q in [0, 1]: rank q*count is located
   /// in the cumulative bucket counts and linearly interpolated inside
-  /// its bucket, then clamped to the observed [min, max]. Exact for the
+  /// its bucket, narrowed to the observed [min, max]. Exact for the
   /// extremes; elsewhere accurate to the bucket resolution.
   double percentile(double q) const;
 };

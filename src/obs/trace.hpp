@@ -10,10 +10,6 @@
 // the environment. Rings are bounded (kRingCapacity events per thread):
 // when a ring wraps, the oldest spans are overwritten and counted in
 // dropped().
-//
-// Building with -DMATSCI_OBS=OFF removes the macro's expansion entirely
-// (no scope object, no atomic load, no clock reads); the Tracer type
-// itself stays available so exporters and benches compile unchanged.
 
 #include <atomic>
 #include <cstdint>
@@ -132,13 +128,9 @@ class TraceScope {
 #define MATSCI_OBS_CONCAT_IMPL(a, b) a##b
 #define MATSCI_OBS_CONCAT(a, b) MATSCI_OBS_CONCAT_IMPL(a, b)
 
-#if defined(MATSCI_OBS_ENABLED)
 /// Trace the enclosing scope as a span named `name` (string literal).
 #define MATSCI_TRACE_SCOPE(name)                                      \
   ::matsci::obs::TraceScope MATSCI_OBS_CONCAT(matsci_trace_scope_,    \
                                               __COUNTER__) {          \
     name                                                              \
   }
-#else
-#define MATSCI_TRACE_SCOPE(name) ((void)0)
-#endif

@@ -106,7 +106,7 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
                                     ? ropts.parent.child()
                                     : obs::TraceContext::mint();
   out.trace = ctx;
-  const std::uint64_t t0 = obs::span_clock_ns();
+  const std::uint64_t t0 = obs::Tracer::now_ns();
   const obs::StopWatch watch;
 
   // A submit racing a hot-swap can catch the displaced version just as
@@ -139,8 +139,8 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
         out.status = SubmitStatus::kCacheHit;
         out.future = ready.get_future();
         metrics.stage_cache_us.observe(watch.elapsed_us(), ctx.trace_id());
-        obs::record_span("serve/stage/cache", t0, obs::span_clock_ns() - t0,
-                         ctx);
+        obs::record_span("serve/stage/cache", t0,
+                         obs::Tracer::now_ns() - t0, ctx);
         return out;
       }
     }
@@ -167,8 +167,8 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
         out.status = SubmitStatus::kShedDeadline;
       }
       metrics.stage_shed_us.observe(watch.elapsed_us(), ctx.trace_id());
-      obs::record_span("serve/stage/shed", t0, obs::span_clock_ns() - t0,
-                       ctx);
+      obs::record_span("serve/stage/shed", t0,
+                       obs::Tracer::now_ns() - t0, ctx);
       return out;
     }
 
@@ -190,7 +190,7 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
         // either fulfillment path removes it from the set.
         obs::InflightSet::global().insert(ctx);
         obs::record_span("serve/stage/admission", t0,
-                         obs::span_clock_ns() - t0, ctx);
+                         obs::Tracer::now_ns() - t0, ctx);
         return out;
       case PushStatus::kQueueFull: {
         // Raced past admission into a just-filled queue: shed with the
@@ -203,8 +203,8 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
             admission->estimated_wait_us(scheduler.queue_depth()));
         metrics.retry_after_us.observe(out.retry_after_us, ctx.trace_id());
         metrics.stage_shed_us.observe(watch.elapsed_us(), ctx.trace_id());
-        obs::record_span("serve/stage/shed", t0, obs::span_clock_ns() - t0,
-                         ctx);
+        obs::record_span("serve/stage/shed", t0,
+                         obs::Tracer::now_ns() - t0, ctx);
         return out;
       }
       case PushStatus::kShutdown:

@@ -36,9 +36,8 @@ struct SubmitOutcome {
   std::uint64_t version = 0;
   /// The request's trace context, minted at admission — set on EVERY
   /// outcome, including sheds, so a rejected client can quote the
-  /// trace id when it retries or files a report. Zero-size/invalid
-  /// under -DMATSCI_OBS=OFF.
-  [[no_unique_address]] obs::TraceContext trace;
+  /// trace id when it retries or files a report.
+  obs::TraceContext trace;
 
   bool ok() const {
     return status == SubmitStatus::kAccepted ||
@@ -63,7 +62,7 @@ struct FrontendRequestOptions {
   /// Optional parent trace context: when valid, the request's context
   /// is minted as its child (same trace id) instead of starting a new
   /// trace — how a sim wave's trace spans its member requests.
-  [[no_unique_address]] obs::TraceContext parent;
+  obs::TraceContext parent;
 };
 
 /// Monotonic counters for one frontend (also mirrored into the obs

@@ -51,9 +51,8 @@ struct PredictRequest {
   /// frontend stores its response-cache key here. Empty = uncached.
   std::string cache_key;
   /// Request-tracing context minted at frontend admission and carried
-  /// through every serving stage (DESIGN.md §10). Zero-size under
-  /// -DMATSCI_OBS=OFF.
-  [[no_unique_address]] obs::TraceContext trace;
+  /// through every serving stage (DESIGN.md §10).
+  obs::TraceContext trace;
 };
 
 /// What the client's future resolves to.

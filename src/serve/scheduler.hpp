@@ -46,9 +46,8 @@ struct SubmitOptions {
   std::string cache_key;
   /// Request-tracing context (minted by the frontend at admission);
   /// copied into the queued PredictRequest so queue-wait, batch, and
-  /// forward spans all carry the request's trace id. Zero-size under
-  /// -DMATSCI_OBS=OFF.
-  [[no_unique_address]] obs::TraceContext trace;
+  /// forward spans all carry the request's trace id.
+  obs::TraceContext trace;
 };
 
 /// The serving engine: batch jobs on the process-wide

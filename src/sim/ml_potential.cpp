@@ -45,7 +45,7 @@ std::vector<ForceEval> ServedForceBackend::evaluate(
   const obs::TraceContext wave_ctx = obs::TraceContext::mint();
   ropts.parent = wave_ctx;
   last_wave_trace_id_ = wave_ctx.trace_id();
-  const std::uint64_t wave_start_ns = obs::span_clock_ns();
+  const std::uint64_t wave_start_ns = obs::Tracer::now_ns();
 
   // Submit everything before gathering anything: the serve schedulers
   // see the whole wave at once and coalesce it into micro-batches.
@@ -136,7 +136,7 @@ std::vector<ForceEval> ServedForceBackend::evaluate(
     ev.max_force_std = std_max;
   }
   obs::record_span("sim/wave", wave_start_ns,
-                   obs::span_clock_ns() - wave_start_ns, wave_ctx);
+                   obs::Tracer::now_ns() - wave_start_ns, wave_ctx);
   return out;
 }
 

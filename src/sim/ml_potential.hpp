@@ -47,10 +47,10 @@ class ServedForceBackend : public ForceBackend {
 
   /// Requests resubmitted after an admission shed.
   std::int64_t resubmits() const { return resubmits_; }
-  /// Trace id of the most recent wave (0 before the first wave or under
-  /// -DMATSCI_OBS=OFF). Every member request of that wave carried it,
-  /// so it links the "sim/wave" span to the serve-stage spans in
-  /// /tracez — the end-to-end continuity check in bench/fig4_mdscale.
+  /// Trace id of the most recent wave (0 before the first wave). Every
+  /// member request of that wave carried it, so it links the "sim/wave"
+  /// span to the serve-stage spans in /tracez — the end-to-end
+  /// continuity check in bench/fig4_mdscale.
   std::uint64_t last_wave_trace_id() const { return last_wave_trace_id_; }
   const ServedPotentialOptions& options() const { return opts_; }
 

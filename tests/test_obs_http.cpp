@@ -6,8 +6,13 @@
 // through the serving stack (admission -> queue wait -> batch ->
 // forward) including shed outcomes and the flight-recorder in-flight
 // section. Label `obs_http`; the CI matrix runs it under TSan and
-// ASan, and the obs-off stage expects every test to skip cleanly.
+// ASan.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -29,14 +34,6 @@ namespace {
 using http::HttpResponse;
 using http::TelemetryServer;
 using http::TelemetryServerOptions;
-
-/// Every test in this suite exercises compiled-in behavior; under
-/// -DMATSCI_OBS=OFF the whole label reduces to skips (the obs-off CI
-/// stage runs it to prove exactly that).
-#define SKIP_IF_OBS_OFF()                                            \
-  if (!TelemetryServer::compiled_in()) {                             \
-    GTEST_SKIP() << "obs compiled out (MATSCI_OBS=OFF)";             \
-  }
 
 /// Inference-only task: echoes the within-batch index, optional delay.
 class EchoTask : public tasks::Task {
@@ -97,7 +94,6 @@ bool has_span(const std::vector<TraceEvent>& spans, const char* name) {
 // --- TraceContext ------------------------------------------------------------
 
 TEST(TraceContext, MintProducesUniqueNonZeroIds) {
-  SKIP_IF_OBS_OFF();
   std::set<std::uint64_t> traces;
   std::set<std::uint64_t> spans;
   for (int i = 0; i < 1000; ++i) {
@@ -114,7 +110,6 @@ TEST(TraceContext, MintProducesUniqueNonZeroIds) {
 }
 
 TEST(TraceContext, ChildKeepsTraceAndLinksParent) {
-  SKIP_IF_OBS_OFF();
   const TraceContext root = TraceContext::mint();
   const TraceContext child = root.child();
   const TraceContext grandchild = child.child();
@@ -132,13 +127,12 @@ TEST(TraceContext, HexRenderingIsFixedWidthLowercase) {
 }
 
 TEST(TraceContext, RecordSpanCarriesIdsIntoTracer) {
-  SKIP_IF_OBS_OFF();
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
   const TraceContext ctx = TraceContext::mint();
-  record_span("test/span", span_clock_ns(), 42, ctx);
-  record_span("test/override", span_clock_ns(), 7, ctx, 0xBEEF);
+  record_span("test/span", Tracer::now_ns(), 42, ctx);
+  record_span("test/override", Tracer::now_ns(), 7, ctx, 0xBEEF);
   tracer.set_enabled(false);
 
   const std::vector<TraceEvent> spans = spans_of_trace(ctx.trace_id());
@@ -157,7 +151,6 @@ TEST(TraceContext, RecordSpanCarriesIdsIntoTracer) {
 }
 
 TEST(InflightSetTest, InsertEraseSnapshot) {
-  SKIP_IF_OBS_OFF();
   InflightSet& set = InflightSet::global();
   const std::size_t before = set.size();
   const TraceContext a = TraceContext::mint();
@@ -180,7 +173,6 @@ TEST(InflightSetTest, InsertEraseSnapshot) {
 // --- Histogram exemplars -----------------------------------------------------
 
 TEST(Exemplars, SurviveSnapshotAndPrometheusRoundTrip) {
-  SKIP_IF_OBS_OFF();
   Histogram& hist =
       MetricsRegistry::global().histogram("test.exemplar_us");
   hist.reset();
@@ -205,14 +197,6 @@ TEST(Exemplars, SurviveSnapshotAndPrometheusRoundTrip) {
 
 TEST(TelemetryServerTest, CompiledOutOrEphemeralPortLifecycle) {
   TelemetryServer server;
-  if (!TelemetryServer::compiled_in()) {
-    // OFF contract: start() refuses, nothing listens, stop() is safe.
-    EXPECT_FALSE(server.start());
-    EXPECT_FALSE(server.running());
-    EXPECT_EQ(server.port(), -1);
-    server.stop();
-    return;
-  }
   ASSERT_TRUE(server.start()) << server.last_error();
   EXPECT_TRUE(server.running());
   EXPECT_GT(server.port(), 0);
@@ -223,7 +207,6 @@ TEST(TelemetryServerTest, CompiledOutOrEphemeralPortLifecycle) {
 }
 
 TEST(TelemetryServerTest, IndexAndNotFound) {
-  SKIP_IF_OBS_OFF();
   TelemetryServer server;
   ASSERT_TRUE(server.start()) << server.last_error();
   const HttpResponse index = http::http_get("127.0.0.1", server.port(), "/");
@@ -237,7 +220,6 @@ TEST(TelemetryServerTest, IndexAndNotFound) {
 }
 
 TEST(TelemetryServerTest, ClientReportsTransportFailure) {
-  SKIP_IF_OBS_OFF();
   // Grab an ephemeral port, then close it: nothing listens there.
   int dead_port = 0;
   {
@@ -252,10 +234,58 @@ TEST(TelemetryServerTest, ClientReportsTransportFailure) {
   EXPECT_FALSE(resp.body.empty());
 }
 
+TEST(TelemetryServerTest, TricklingClientIsClosedAtTheRequestDeadline) {
+  TelemetryServerOptions opts;
+  opts.io_timeout_ms = 300;
+  TelemetryServer server(opts);
+  ASSERT_TRUE(server.start()) << server.last_error();
+  Counter& errors = MetricsRegistry::global().counter("obs.http.errors");
+  const std::int64_t errors_before = errors.value();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+
+  // One byte of a request head that never ends, every 100 ms for up to
+  // 3 s: each recv alone sees data well inside io_timeout_ms, so only a
+  // deadline on the whole request closes the connection.
+  const auto start = std::chrono::steady_clock::now();
+  bool closed = false;
+  while (!closed &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(3)) {
+    const char byte = 'x';
+    if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) {
+      closed = true;
+      break;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) > 0) {
+      char buf[64];
+      closed = ::recv(fd, buf, sizeof buf, 0) <= 0;  // EOF or reset
+    }
+  }
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  ::close(fd);
+  EXPECT_TRUE(closed);
+  EXPECT_LT(elapsed_s, 1.5);
+  EXPECT_GT(errors.value(), errors_before);
+  // The dispatcher is free for the next scrape.
+  EXPECT_EQ(http::http_get("127.0.0.1", server.port(), "/healthz").status,
+            200);
+  server.stop();
+}
+
 // --- /metrics ----------------------------------------------------------------
 
 TEST(TelemetryServerTest, MetricsScrapeIsValidatorClean) {
-  SKIP_IF_OBS_OFF();
   MetricsRegistry::global().counter("test.http.scrape_counter").add(3);
   TelemetryServer server;
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -270,7 +300,6 @@ TEST(TelemetryServerTest, MetricsScrapeIsValidatorClean) {
 }
 
 TEST(TelemetryServerTest, ConcurrentScrapesWhileShardsMutate) {
-  SKIP_IF_OBS_OFF();
   // Start the server BEFORE occupying pool slots (header contract).
   TelemetryServer server;
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -321,7 +350,6 @@ TEST(TelemetryServerTest, ConcurrentScrapesWhileShardsMutate) {
 // --- /healthz ----------------------------------------------------------------
 
 TEST(TelemetryServerTest, HealthzFlipsTo503) {
-  SKIP_IF_OBS_OFF();
   TelemetryServer server;
   std::atomic<bool> healthy{true};
   server.set_health_source([&healthy] {
@@ -350,7 +378,6 @@ TEST(TelemetryServerTest, HealthzFlipsTo503) {
 // --- /statusz ----------------------------------------------------------------
 
 TEST(TelemetryServerTest, StatuszIsStrictJsonWithSections) {
-  SKIP_IF_OBS_OFF();
   TelemetryServer server;
   server.add_statusz_section("frontend", [] {
     return JsonRecord().set("admitted", 42).set("shed", 3).str();
@@ -377,12 +404,11 @@ TEST(TelemetryServerTest, StatuszIsStrictJsonWithSections) {
 // --- /tracez -----------------------------------------------------------------
 
 TEST(TelemetryServerTest, TracezShowsHexTraceIds) {
-  SKIP_IF_OBS_OFF();
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
   const TraceContext ctx = TraceContext::mint();
-  record_span("tracez/unit", span_clock_ns(), 1000, ctx);
+  record_span("tracez/unit", Tracer::now_ns(), 1000, ctx);
   tracer.set_enabled(false);
 
   TelemetryServer server;
@@ -401,7 +427,6 @@ TEST(TelemetryServerTest, TracezShowsHexTraceIds) {
 // --- End-to-end propagation through the serving stack ------------------------
 
 TEST(TracePropagation, FrontendToForwardSharesOneTraceId) {
-  SKIP_IF_OBS_OFF();
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
@@ -446,7 +471,6 @@ TEST(TracePropagation, FrontendToForwardSharesOneTraceId) {
 }
 
 TEST(TracePropagation, CacheHitRecordsCacheStageSpan) {
-  SKIP_IF_OBS_OFF();
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
@@ -475,7 +499,6 @@ TEST(TracePropagation, CacheHitRecordsCacheStageSpan) {
 }
 
 TEST(TracePropagation, ShedOutcomeCarriesTraceAndShedSpan) {
-  SKIP_IF_OBS_OFF();
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
@@ -522,7 +545,6 @@ TEST(TracePropagation, ShedOutcomeCarriesTraceAndShedSpan) {
 }
 
 TEST(TracePropagation, AdmissionDecisionEchoesTraceId) {
-  SKIP_IF_OBS_OFF();
   serve::frontend::AdmissionController admission({}, 8, 1);
   const TraceContext ctx = TraceContext::mint();
   const serve::frontend::AdmissionDecision d =
@@ -534,7 +556,6 @@ TEST(TracePropagation, AdmissionDecisionEchoesTraceId) {
 // --- FlightRecorder in-flight section ---------------------------------------
 
 TEST(FlightRecorderInflight, BundleNamesInFlightTraceIds) {
-  SKIP_IF_OBS_OFF();
   const TraceContext ctx = TraceContext::mint();
   InflightSet::global().insert(ctx);
 

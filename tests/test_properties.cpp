@@ -147,6 +147,12 @@ struct ShardCase {
   bool drop_last;
 };
 
+// Keeps the discovered ctest name free of the struct's padding bytes.
+void PrintTo(const ShardCase& c, std::ostream* os) {
+  *os << "b" << c.batch_size << "_w" << c.world_size
+      << (c.drop_last ? "_drop" : "_keep");
+}
+
 class LoaderShardTest : public ::testing::TestWithParam<ShardCase> {};
 
 TEST_P(LoaderShardTest, ShardsPartitionTheDataset) {
