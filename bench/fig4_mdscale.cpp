@@ -224,6 +224,11 @@ void run_active_learning(obs::BenchReporter& reporter) {
               static_cast<long long>(kAlTraj),
               static_cast<long long>(kAlSteps));
 
+  // Hot-swaps are counted in the obs registry; this run's are the
+  // counter's rise across it.
+  const obs::Counter& swap_counter =
+      obs::MetricsRegistry::global().counter("serve.registry.swaps");
+  const std::int64_t initial_swaps = swap_counter.value();
   ServeFrontend fe;
   std::vector<sim::EnsembleMemberSpec> members;
   for (std::uint64_t m = 0; m < 2; ++m) {
@@ -310,6 +315,7 @@ void run_active_learning(obs::BenchReporter& reporter) {
   }
   const double mae_post =
       mae_post_n == 0 ? 0.0 : mae_post_sum / static_cast<double>(mae_post_n);
+  const std::int64_t swaps = swap_counter.value() - initial_swaps;
 
   std::printf("frames advanced:      %lld / %lld  (zero loss: %s)\n",
               static_cast<long long>(frames),
@@ -323,7 +329,7 @@ void run_active_learning(obs::BenchReporter& reporter) {
                   fe.registry().active_version("pot/0")),
               static_cast<unsigned long long>(
                   fe.registry().active_version("pot/1")),
-              static_cast<long long>(fe.registry().swaps()));
+              static_cast<long long>(swaps));
   std::printf("force MAE on gated frames: %.4f -> %.4f eV/A  "
               "(acceptance: post < pre)\n",
               mae_pre, mae_post);
@@ -337,7 +343,7 @@ void run_active_learning(obs::BenchReporter& reporter) {
                    .set("gated_frame_fraction", loop.gate().gate_rate())
                    .set("labels", loop.labels())
                    .set("finetunes", loop.finetunes())
-                   .set("swaps", fe.registry().swaps())
+                   .set("swaps", swaps)
                    .set("force_mae_pre", mae_pre)
                    .set("force_mae_post", mae_post));
 }

@@ -132,9 +132,13 @@ int main(int argc, char** argv) {
       for (int i = 0; i < per_client; ++i) {
         const std::size_t idx = static_cast<std::size_t>(
             (c * per_client + i) % kPoolSize);
+        serve::PushResult pushed = scheduler.try_submit(pool[idx], "band_gap");
+        if (pushed.status != serve::PushStatus::kAccepted) {
+          ++dropped;
+          continue;
+        }
         try {
-          serve::PredictResult r =
-              scheduler.submit(pool[idx], "band_gap").get();
+          serve::PredictResult r = pushed.future.get();
           latency_us.observe(r.latency_us);
           if (r.prediction.value == reference[idx]) {
             ++correct;

@@ -91,7 +91,6 @@ struct TelemetryServer::Impl {
   std::atomic<bool> running{false};
   std::atomic<bool> stop_requested{false};
   std::atomic<int> port{-1};
-  std::atomic<std::int64_t> requests{0};
   int listen_fd = -1;
   int wake_fds[2] = {-1, -1};
   std::chrono::steady_clock::time_point started_at;
@@ -236,10 +235,6 @@ void TelemetryServer::add_statusz_section(
   impl_->sections.emplace_back(name, std::move(render));
 }
 
-std::int64_t TelemetryServer::requests_served() const {
-  return impl_->requests.load(std::memory_order_relaxed);
-}
-
 void TelemetryServer::Impl::serve_loop() {
   while (!stop_requested.load(std::memory_order_acquire)) {
     pollfd pfds[2];
@@ -323,8 +318,7 @@ std::string TelemetryServer::Impl::render_statusz() const {
              .set("record", "statusz")
              .set("schema", "matsci.statusz.v1")
              .set("uptime_s", uptime_s)
-             .set("http_requests",
-                  requests.load(std::memory_order_relaxed))
+             .set("http_requests", HttpMetrics::get().requests.value())
              .set("inflight_requests",
                   static_cast<std::int64_t>(InflightSet::global().size()))
              .set_raw("sections", sections_obj.str())
@@ -411,7 +405,6 @@ void TelemetryServer::Impl::handle_connection(int fd) {
   const std::size_t query = path.find('?');
   if (query != std::string::npos) path = path.substr(0, query);
 
-  requests.fetch_add(1, std::memory_order_relaxed);
   metrics.requests.add(1);
 
   bool ok = true;

@@ -96,9 +96,6 @@ class TelemetryServer {
   void add_statusz_section(const std::string& name,
                            std::function<std::string()> render);
 
-  /// Requests served since start() (all endpoints).
-  std::int64_t requests_served() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
+#include "sym/canonical.hpp"
 
 namespace matsci::serve::frontend {
 
@@ -33,7 +34,7 @@ ResponseCache::ResponseCache(ResponseCacheOptions opts)
 std::string ResponseCache::make_key(const data::StructureSample& structure,
                                     const std::string& target,
                                     std::uint64_t version) const {
-  std::uint64_t h = sym::canonical_structure_hash(structure, opts_.canonical);
+  std::uint64_t h = sym::canonical_structure_hash(structure);
   h = sym::fnv1a64(target, h);
   h = sym::fnv1a64(&version, sizeof(version), h);
   char buf[17];
@@ -48,12 +49,10 @@ std::optional<tasks::Prediction> ResponseCache::lookup(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
     metrics.miss.add(1);
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++hits_;
   metrics.hit.add(1);
   return it->second->second;
 }
@@ -71,25 +70,12 @@ void ResponseCache::insert(const std::string& key,
   }
   lru_.emplace_front(key, prediction);
   index_[key] = lru_.begin();
-  ++insertions_;
   while (index_.size() > opts_.capacity) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-    ++evictions_;
     metrics.evict.add(1);
   }
   metrics.size.set(static_cast<double>(index_.size()));
-}
-
-ResponseCacheStats ResponseCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ResponseCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.insertions = insertions_;
-  s.evictions = evictions_;
-  s.size = index_.size();
-  return s;
 }
 
 void ResponseCache::clear() {

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "data/sample.hpp"
-#include "sym/canonical.hpp"
 #include "tasks/task.hpp"
 
 namespace matsci::serve::frontend {
@@ -19,38 +18,24 @@ struct ResponseCacheOptions {
   /// beyond it. 0 disables caching (every lookup misses, inserts are
   /// dropped).
   std::size_t capacity = 4096;
-  /// How structures are canonicalized into keys (see sym/canonical.hpp).
-  /// The default folds atom permutation and rigid translation and
-  /// quantizes coordinates at 1e-4 Å, so a cache hit is bit-exact up to
-  /// that key resolution.
-  sym::CanonicalOptions canonical;
-};
-
-struct ResponseCacheStats {
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t insertions = 0;
-  std::int64_t evictions = 0;
-  std::size_t size = 0;
-  double hit_rate() const {
-    const std::int64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
 };
 
 /// Thread-safe LRU cache from canonicalized-structure keys to served
 /// predictions. Keys fold the structure's canonical hash with the
 /// target head and the model version (see make_key), so a hot-swap
 /// never serves stale answers: old-version entries stop being looked
-/// up and age out through the LRU. Hits/misses/evictions are mirrored
-/// into the obs registry as serve.cache.{hit,miss,evict}.
+/// up and age out through the LRU. Hits, misses and evictions are
+/// counted only in the obs registry as serve.cache.{hit,miss,evict},
+/// and the entry count is the serve.cache.size gauge.
 class ResponseCache {
  public:
   explicit ResponseCache(ResponseCacheOptions opts = {});
 
   /// Cache key for predicting `target` on `structure` under model
-  /// `version`: hex of the canonical structure hash chained with the
-  /// target bytes and the version. 64-bit, so collisions are
+  /// `version`: hex of the canonical structure hash (permutation- and
+  /// translation-folded, coordinates on a 1e-4 Å grid, so a hit is
+  /// bit-exact up to that key resolution) chained with the target
+  /// bytes and the version. 64-bit, so collisions are
   /// possible-in-principle (~1e-10 at a million live entries) — the
   /// cache trades that for never storing full structures.
   std::string make_key(const data::StructureSample& structure,
@@ -64,7 +49,6 @@ class ResponseCache {
   /// capacity. No-op when the cache is disabled or `key` is empty.
   void insert(const std::string& key, const tasks::Prediction& prediction);
 
-  ResponseCacheStats stats() const;
   void clear();
   const ResponseCacheOptions& options() const { return opts_; }
 
@@ -75,10 +59,6 @@ class ResponseCache {
   mutable std::mutex mu_;
   LruList lru_;  ///< front = most recent
   std::unordered_map<std::string, LruList::iterator> index_;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-  std::int64_t insertions_ = 0;
-  std::int64_t evictions_ = 0;
 };
 
 }  // namespace matsci::serve::frontend

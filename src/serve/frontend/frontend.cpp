@@ -15,7 +15,6 @@ struct FrontendMetrics {
   obs::Counter& shed_full;
   obs::Counter& shed_deadline;
   obs::Histogram& retry_after_us;
-  obs::Gauge& queue_depth;
   /// Frontend-side stage attribution: time to answer from the cache,
   /// and time spent deciding to shed. Both carry the request's trace id
   /// as an exemplar (see serve.stage.* in scheduler.cpp for the queued
@@ -31,7 +30,6 @@ struct FrontendMetrics {
             "serve.frontend.shed_deadline"),
         obs::MetricsRegistry::global().histogram(
             "serve.frontend.retry_after_us"),
-        obs::MetricsRegistry::global().gauge("serve.frontend.queue_depth"),
         obs::MetricsRegistry::global().histogram("serve.stage.cache_us"),
         obs::MetricsRegistry::global().histogram("serve.stage.shed_us"),
     };
@@ -117,7 +115,6 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
   for (int attempt = 0; attempt < 64; ++attempt) {
     std::shared_ptr<ServingModel> model = registry_.resolve(name);
     if (model == nullptr) {
-      no_such_model_.fetch_add(1, std::memory_order_relaxed);
       out.status = SubmitStatus::kNoSuchModel;
       return out;
     }
@@ -130,7 +127,6 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
     if (cache_enabled) {
       cache_key = cache_->make_key(structure, target, model->version());
       if (std::optional<tasks::Prediction> hit = cache_->lookup(cache_key)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         std::promise<PredictResult> ready;
         PredictResult result;
         result.prediction = std::move(*hit);
@@ -146,7 +142,6 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
     }
 
     const std::int64_t depth = scheduler.queue_depth();
-    metrics.queue_depth.set(static_cast<double>(depth));
     std::shared_ptr<AdmissionController> admission = this->admission(name);
     MATSCI_CHECK(admission != nullptr,
                  "frontend: no admission controller for deployed model '"
@@ -158,11 +153,9 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
       metrics.retry_after_us.observe(decision.retry_after_us,
                                      decision.trace_id);
       if (decision.outcome == AdmissionOutcome::kQueueFull) {
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
         metrics.shed_full.add(1);
         out.status = SubmitStatus::kShedQueueFull;
       } else {
-        shed_deadline_.fetch_add(1, std::memory_order_relaxed);
         metrics.shed_deadline.add(1);
         out.status = SubmitStatus::kShedDeadline;
       }
@@ -181,7 +174,6 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
         scheduler.try_submit(structure, target, std::move(sopts));
     switch (push.status) {
       case PushStatus::kAccepted:
-        admitted_.fetch_add(1, std::memory_order_relaxed);
         metrics.admitted.add(1);
         out.status = SubmitStatus::kAccepted;
         out.future = std::move(push.future);
@@ -195,7 +187,6 @@ SubmitOutcome ServeFrontend::submit(const std::string& name,
       case PushStatus::kQueueFull: {
         // Raced past admission into a just-filled queue: shed with the
         // same retry-after the controller would hand out at this depth.
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
         metrics.shed_full.add(1);
         out.status = SubmitStatus::kShedQueueFull;
         out.retry_after_us = std::max(
@@ -221,16 +212,6 @@ std::shared_ptr<AdmissionController> ServeFrontend::admission(
   std::lock_guard<std::mutex> lock(admission_mu_);
   auto it = admission_.find(name);
   return it == admission_.end() ? nullptr : it->second;
-}
-
-FrontendStats ServeFrontend::stats() const {
-  FrontendStats s;
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.no_such_model = no_such_model_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace matsci::serve::frontend

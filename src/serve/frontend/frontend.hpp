@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -65,25 +64,6 @@ struct FrontendRequestOptions {
   obs::TraceContext parent;
 };
 
-/// Monotonic counters for one frontend (also mirrored into the obs
-/// registry as serve.frontend.*).
-struct FrontendStats {
-  std::int64_t admitted = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t shed_queue_full = 0;
-  std::int64_t shed_deadline = 0;
-  std::int64_t no_such_model = 0;
-  std::int64_t total() const {
-    return admitted + cache_hits + shed_queue_full + shed_deadline +
-           no_such_model;
-  }
-  double shed_rate() const {
-    const std::int64_t t = total();
-    return t == 0 ? 0.0
-                  : static_cast<double>(shed_queue_full + shed_deadline) / t;
-  }
-};
-
 struct FrontendOptions {
   ResponseCacheOptions cache;
   AdmissionOptions admission;
@@ -99,7 +79,8 @@ struct FrontendOptions {
 /// Hot-swaps go through deploy(): the registry publishes the new
 /// version atomically and drains the old one; a submit racing the swap
 /// re-resolves and lands on the new version, so no request that got a
-/// future is ever lost.
+/// future is ever lost. Outcomes are counted only in the obs registry
+/// (serve.frontend.*, serve.cache.*, serve.registry.*).
 class ServeFrontend {
  public:
   explicit ServeFrontend(FrontendOptions opts = {});
@@ -136,20 +117,12 @@ class ServeFrontend {
   std::shared_ptr<AdmissionController> admission(
       const std::string& name) const;
 
-  FrontendStats stats() const;
-
  private:
   FrontendOptions opts_;
   ModelRegistry registry_;
   std::shared_ptr<ResponseCache> cache_;
   mutable std::mutex admission_mu_;
   std::map<std::string, std::shared_ptr<AdmissionController>> admission_;
-
-  std::atomic<std::int64_t> admitted_{0};
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> shed_queue_full_{0};
-  std::atomic<std::int64_t> shed_deadline_{0};
-  std::atomic<std::int64_t> no_such_model_{0};
 };
 
 }  // namespace matsci::serve::frontend

@@ -46,7 +46,6 @@ std::shared_ptr<ServingModel> ModelRegistry::deploy(
                        << it->second->version());
       previous = it->second;
       it->second = entry;
-      ++swaps_;
     } else {
       active_.emplace(name, entry);
     }
@@ -103,11 +102,6 @@ std::vector<std::string> ModelRegistry::models() const {
   out.reserve(active_.size());
   for (const auto& [name, entry] : active_) out.push_back(name);
   return out;
-}
-
-std::int64_t ModelRegistry::swaps() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return swaps_;
 }
 
 }  // namespace matsci::serve::frontend

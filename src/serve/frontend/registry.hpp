@@ -52,7 +52,9 @@ class ServingModel {
 /// does this loop); requests v1 already accepted are always served.
 ///
 /// Versions must be strictly increasing per model name — rollback is a
-/// deploy of a higher version carrying the old weights.
+/// deploy of a higher version carrying the old weights. Deploys and
+/// completed hot-swaps are counted in the obs registry as
+/// serve.registry.{deploys,swaps}.
 class ModelRegistry {
  public:
   ~ModelRegistry() { retire_all(); }
@@ -79,13 +81,10 @@ class ModelRegistry {
   std::uint64_t active_version(const std::string& name) const;
 
   std::vector<std::string> models() const;
-  /// Completed hot-swaps (deploys that replaced a live version).
-  std::int64_t swaps() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<ServingModel>> active_;
-  std::int64_t swaps_ = 0;
 };
 
 }  // namespace matsci::serve::frontend

@@ -2,19 +2,24 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace matsci::serve {
 
-RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {}
+namespace {
 
-std::future<PredictResult> RequestQueue::push(PredictRequest request) {
-  PushResult r = try_push(std::move(request));
-  MATSCI_CHECK(r.status != PushStatus::kShutdown,
-               "RequestQueue: push after shutdown");
-  if (r.status == PushStatus::kQueueFull) {
-    throw ShedError("RequestQueue: queue full (capacity " +
-                    std::to_string(capacity_) + ")");
-  }
-  return std::move(r.future);
+/// The queue is where a deadline drop happens, so it is the one place
+/// that counts it: one add per shed request.
+obs::Counter& deadline_drops_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::global().counter("serve.deadline_drops");
+  return c;
+}
+
+}  // namespace
+
+RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
+  deadline_drops_counter();  // the series exists before the first drop
 }
 
 PushResult RequestQueue::try_push(PredictRequest request) {
@@ -28,7 +33,6 @@ PushResult RequestQueue::try_push(PredictRequest request) {
       return {PushStatus::kShutdown, {}};
     }
     if (capacity_ != 0 && pending_.size() >= capacity_) {
-      ++rejected_full_;
       return {PushStatus::kQueueFull, {}};
     }
     pending_.push_back(std::move(pending));
@@ -47,7 +51,7 @@ void RequestQueue::drop_expired_locked(
       // so it must leave the in-flight trace set here.
       obs::InflightSet::global().erase(it->request.trace);
       it = pending_.erase(it);
-      ++deadline_drops_;
+      deadline_drops_counter().add(1);
     } else {
       ++it;
     }
@@ -138,16 +142,6 @@ bool RequestQueue::is_shutdown() const {
 std::size_t RequestQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
-}
-
-std::int64_t RequestQueue::deadline_drops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deadline_drops_;
-}
-
-std::int64_t RequestQueue::rejected_full() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_full_;
 }
 
 }  // namespace matsci::serve

@@ -27,11 +27,10 @@ enum class Priority : std::uint8_t {
 };
 inline constexpr std::size_t kNumPriorities = 3;
 
-/// Thrown through a request's future (or from push) when the serving
-/// stack sheds the request instead of serving it: queue at capacity at
-/// submit time, or dispatch deadline exceeded while queued. Derives
-/// from matsci::Error so generic catch sites keep working; catch it
-/// specifically to implement client-side backoff.
+/// Thrown through a request's future when the serving stack sheds the
+/// request instead of serving it: dispatch deadline exceeded while
+/// queued. Derives from matsci::Error so generic catch sites keep
+/// working; catch it specifically to implement client-side backoff.
 class ShedError : public matsci::Error {
  public:
   using matsci::Error::Error;
@@ -70,7 +69,7 @@ struct PendingRequest {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// Outcome of a non-throwing enqueue attempt.
+/// Outcome of an enqueue attempt.
 enum class PushStatus : std::uint8_t {
   kAccepted,   ///< queued; `future` is valid
   kQueueFull,  ///< bounded queue at capacity — shed and retry later
@@ -96,30 +95,26 @@ struct PushResult {
 /// for another pop; matching requests of any priority ride along.
 ///
 /// Overload behavior: with a nonzero `capacity`, try_push reports
-/// kQueueFull instead of growing without bound (push throws ShedError),
-/// and pop_batch sheds requests whose dispatch deadline expired while
-/// queued — their futures break with ShedError and deadline_drops()
-/// counts them.
+/// kQueueFull instead of growing without bound, and pop_batch sheds
+/// requests whose dispatch deadline expired while queued — their
+/// futures break with ShedError and each one adds 1 to the
+/// serve.deadline_drops registry counter.
 ///
-/// Shutdown semantics: push() throws after shutdown(); pop_batch keeps
-/// returning queued work until the queue is drained (every accepted
-/// request is served, never dropped) and only then returns an empty
-/// batch, which is the worker's exit signal.
+/// Shutdown semantics: try_push reports kShutdown after shutdown();
+/// pop_batch keeps returning queued work until the queue is drained
+/// (every accepted request is served, never dropped) and only then
+/// returns an empty batch, which is the worker's exit signal.
 class RequestQueue {
  public:
   /// `capacity` bounds the number of queued-but-undispatched requests;
   /// 0 = unbounded (the seed behavior).
   explicit RequestQueue(std::size_t capacity = 0);
 
-  /// Enqueue one request; the returned future resolves when a worker
+  /// Enqueue one request, or report kQueueFull/kShutdown without
+  /// queueing it. An accepted request's future resolves when a worker
   /// serves the micro-batch containing it (or breaks with an exception
   /// if the forward pass throws, or with ShedError if the request's
-  /// deadline expires while queued). Throws matsci::Error after
-  /// shutdown and ShedError when the bounded queue is full.
-  std::future<PredictResult> push(PredictRequest request);
-
-  /// Non-throwing enqueue: reports full/shutdown through the status
-  /// instead (the admission-control entry point).
+  /// deadline expires while queued).
   PushResult try_push(PredictRequest request);
 
   /// Block for the next micro-batch (see class comment for the flush
@@ -134,14 +129,9 @@ class RequestQueue {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Requests shed because their deadline expired while queued.
-  std::int64_t deadline_drops() const;
-  /// try_push/push attempts rejected because the queue was full.
-  std::int64_t rejected_full() const;
-
  private:
   /// Fail the promise of every queued request whose deadline has
-  /// passed and remove it. Caller holds the lock.
+  /// passed, remove it and count it. Caller holds the lock.
   void drop_expired_locked(std::chrono::steady_clock::time_point now);
 
   /// Move every queued request matching `key` into `batch`, up to
@@ -155,8 +145,6 @@ class RequestQueue {
   std::condition_variable cv_;
   std::deque<PendingRequest> pending_;
   bool shutdown_ = false;
-  std::int64_t deadline_drops_ = 0;
-  std::int64_t rejected_full_ = 0;
 };
 
 }  // namespace matsci::serve

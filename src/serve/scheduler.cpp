@@ -16,12 +16,10 @@ namespace {
 /// request sat before a dispatch job picked it up — the micro-batching
 /// coalescing cost), distinct from the end-to-end
 /// PredictResult::latency_us. Queue depth is sampled after every pop;
-/// deadline drops are exported as a counter delta per pop (the queue
-/// owns the count).
+/// deadline drops are counted by the queue itself.
 struct ServeMetrics {
   obs::Counter& requests;
   obs::Counter& batches;
-  obs::Counter& deadline_drops;
   obs::Histogram& batch_size;
   obs::Gauge& queue_depth;
   /// Per-stage latency attribution (DESIGN.md §10): where a request's
@@ -35,7 +33,6 @@ struct ServeMetrics {
     static ServeMetrics* m = new ServeMetrics{
         obs::MetricsRegistry::global().counter("serve.requests"),
         obs::MetricsRegistry::global().counter("serve.batches"),
-        obs::MetricsRegistry::global().counter("serve.deadline_drops"),
         obs::MetricsRegistry::global().histogram(
             "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256}),
         obs::MetricsRegistry::global().gauge("serve.queue_depth"),
@@ -86,14 +83,6 @@ BatchScheduler::BatchScheduler(std::shared_ptr<InferenceSession> session,
 
 BatchScheduler::~BatchScheduler() { shutdown(); }
 
-std::future<PredictResult> BatchScheduler::submit(
-    data::StructureSample structure, std::string target) {
-  PredictRequest request;
-  request.structure = std::move(structure);
-  request.target = std::move(target);
-  return queue_.push(std::move(request));
-}
-
 PushResult BatchScheduler::try_submit(data::StructureSample structure,
                                       std::string target,
                                       SubmitOptions sopts) {
@@ -126,7 +115,6 @@ void BatchScheduler::shutdown() {
 
 void BatchScheduler::dispatch_loop() {
   ServeMetrics& metrics = ServeMetrics::get();
-  std::int64_t seen_deadline_drops = 0;
   for (;;) {
     std::vector<PendingRequest> batch =
         queue_.pop_batch(opts_.max_batch_size, opts_.max_wait_us);
@@ -146,11 +134,6 @@ void BatchScheduler::dispatch_loop() {
                        p.request.trace);
     }
     metrics.queue_depth.set(static_cast<double>(queue_.size()));
-    const std::int64_t drops = queue_.deadline_drops();
-    if (drops > seen_deadline_drops) {
-      metrics.deadline_drops.add(drops - seen_deadline_drops);
-      seen_deadline_drops = drops;
-    }
     serve_batch(batch);
   }
 }

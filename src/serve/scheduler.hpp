@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,9 +23,9 @@ struct SchedulerOptions {
   /// 0 = core::parallel::ThreadPool::global().size() (which honors
   /// MATSCI_NUM_THREADS).
   std::int64_t num_workers = 0;
-  /// Bound on queued-but-undispatched requests: beyond it submit()
-  /// throws ShedError and try_submit() reports kQueueFull, so overload
-  /// turns into shed traffic instead of unbounded queue growth.
+  /// Bound on queued-but-undispatched requests: beyond it try_submit()
+  /// reports kQueueFull, so overload turns into shed traffic instead of
+  /// unbounded queue growth.
   /// 0 = unbounded (the seed behavior).
   std::int64_t queue_capacity = 0;
   /// Invoked on the dispatch job once per request right before its
@@ -78,15 +77,10 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  /// Enqueue one structure for prediction of `target` at standard
-  /// priority with no deadline. Throws matsci::Error after shutdown and
-  /// ShedError when the bounded queue is full.
-  std::future<PredictResult> submit(data::StructureSample structure,
-                                    std::string target);
-
-  /// Non-throwing enqueue with per-request priority/deadline; overload
-  /// and shutdown come back as statuses (the frontend's entry point —
-  /// it sheds on kQueueFull and re-resolves the registry on kShutdown).
+  /// Enqueue one structure for prediction of `target` with per-request
+  /// priority/deadline; overload and shutdown come back as statuses
+  /// (the frontend sheds on kQueueFull and re-resolves the registry on
+  /// kShutdown).
   PushResult try_submit(data::StructureSample structure, std::string target,
                         SubmitOptions sopts = {});
 
@@ -98,10 +92,6 @@ class BatchScheduler {
   std::int64_t queue_depth() const {
     return static_cast<std::int64_t>(queue_.size());
   }
-  /// Requests shed by the queue because their deadline expired.
-  std::int64_t deadline_drops() const { return queue_.deadline_drops(); }
-  /// Submit attempts rejected because the bounded queue was full.
-  std::int64_t rejected_full() const { return queue_.rejected_full(); }
   std::int64_t num_workers() const {
     return static_cast<std::int64_t>(dispatchers_.size());
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 
 #include "core/macros.hpp"
 
@@ -22,71 +21,11 @@ struct CanonicalAtom {
   }
 };
 
-std::int64_t quantize(double v, double grid) {
-  return static_cast<std::int64_t>(std::llround(v / grid));
-}
+/// Coordinate quantization grid of the canonical form, in Å.
+constexpr double kGrid = 1e-4;
 
-/// Principal axes of the covariance-like tensor via Jacobi sweeps
-/// (3x3), columns ordered by descending eigenvalue with a sign fix
-/// (largest-magnitude projection sum made positive) so the frame is
-/// deterministic up to inertia degeneracies.
-core::Mat3 principal_frame(const std::vector<core::Vec3>& pts) {
-  double m[3][3] = {};
-  for (const core::Vec3& p : pts) {
-    const double v[3] = {p.x, p.y, p.z};
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) m[i][j] += v[i] * v[j];
-    }
-  }
-  double a[3][3];
-  std::memcpy(a, m, sizeof(a));
-  double vmat[3][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
-  for (int sweep = 0; sweep < 48; ++sweep) {
-    double off = 0.0;
-    for (int i = 0; i < 3; ++i) {
-      for (int j = i + 1; j < 3; ++j) off += a[i][j] * a[i][j];
-    }
-    if (off < 1e-20) break;
-    for (int p = 0; p < 3; ++p) {
-      for (int q = p + 1; q < 3; ++q) {
-        if (std::fabs(a[p][q]) < 1e-22) continue;
-        const double theta = 0.5 * std::atan2(2.0 * a[p][q], a[q][q] - a[p][p]);
-        const double c = std::cos(theta), s = std::sin(theta);
-        for (int k = 0; k < 3; ++k) {
-          const double akp = a[k][p], akq = a[k][q];
-          a[k][p] = c * akp - s * akq;
-          a[k][q] = s * akp + c * akq;
-        }
-        for (int k = 0; k < 3; ++k) {
-          const double apk = a[p][k], aqk = a[q][k];
-          a[p][k] = c * apk - s * aqk;
-          a[q][k] = s * apk + c * aqk;
-          const double vkp = vmat[k][p], vkq = vmat[k][q];
-          vmat[k][p] = c * vkp - s * vkq;
-          vmat[k][q] = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  // Order eigenvectors by descending eigenvalue.
-  std::array<int, 3> order = {0, 1, 2};
-  std::sort(order.begin(), order.end(),
-            [&](int i, int j) { return a[i][i] > a[j][j]; });
-  core::Mat3 frame{};  // rows = principal axes
-  for (int r = 0; r < 3; ++r) {
-    core::Vec3 axis{vmat[0][order[static_cast<std::size_t>(r)]],
-                    vmat[1][order[static_cast<std::size_t>(r)]],
-                    vmat[2][order[static_cast<std::size_t>(r)]]};
-    // Sign fix: make the skewness of projections non-negative.
-    double skew = 0.0;
-    for (const core::Vec3& p : pts) {
-      const double d = dot(axis, p);
-      skew += d * d * d;
-    }
-    if (skew < 0.0) axis = -axis;
-    frame[r] = axis;
-  }
-  return frame;
+std::int64_t quantize(double v) {
+  return static_cast<std::int64_t>(std::llround(v / kGrid));
 }
 
 void hash_i64(std::uint64_t& h, std::int64_t v) {
@@ -110,32 +49,23 @@ std::uint64_t fnv1a64(const std::string& s, std::uint64_t seed) {
   return fnv1a64(s.data(), s.size(), seed);
 }
 
-std::uint64_t canonical_structure_hash(const data::StructureSample& sample,
-                                       const CanonicalOptions& opts) {
-  MATSCI_CHECK(opts.grid > 0.0, "canonical_structure_hash: grid=" << opts.grid);
+std::uint64_t canonical_structure_hash(const data::StructureSample& sample) {
   const std::size_t n = sample.positions.size();
   MATSCI_CHECK(sample.species.size() == n,
                "canonical_structure_hash: " << sample.species.size()
                                             << " species for " << n
                                             << " positions");
 
-  std::vector<core::Vec3> pts = sample.positions;
-  if (opts.center && n > 0) {
-    core::Vec3 c{};
-    for (const core::Vec3& p : pts) c += p;
-    c = c * (1.0 / static_cast<double>(n));
-    for (core::Vec3& p : pts) p -= c;
-  }
-  if (opts.align_principal_axes && n > 1) {
-    const core::Mat3 frame = principal_frame(pts);
-    for (core::Vec3& p : pts) p = matvec(frame, p);
-  }
+  // Centroid shift: folds rigid translation.
+  core::Vec3 centroid{};
+  for (const core::Vec3& p : sample.positions) centroid += p;
+  if (n > 0) centroid = centroid * (1.0 / static_cast<double>(n));
 
   std::vector<CanonicalAtom> atoms(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const core::Vec3 p = sample.positions[i] - centroid;
     atoms[i].species = sample.species[i];
-    atoms[i].q = {quantize(pts[i].x, opts.grid), quantize(pts[i].y, opts.grid),
-                  quantize(pts[i].z, opts.grid)};
+    atoms[i].q = {quantize(p.x), quantize(p.y), quantize(p.z)};
   }
   std::sort(atoms.begin(), atoms.end());
 
@@ -152,7 +82,7 @@ std::uint64_t canonical_structure_hash(const data::StructureSample& sample,
     hash_i64(h, 1);
     for (int r = 0; r < 3; ++r) {
       for (int c = 0; c < 3; ++c) {
-        hash_i64(h, quantize((*sample.lattice)[r][c], opts.grid));
+        hash_i64(h, quantize((*sample.lattice)[r][c]));
       }
     }
   } else {

@@ -7,34 +7,18 @@
 
 namespace matsci::sym {
 
-/// How a structure is canonicalized before hashing (the response-cache
-/// key path in serve/frontend). The canonical form is invariant under
-/// atom permutation and (by default) rigid translation, and quantizes
-/// coordinates so float noise below `grid` does not split keys.
-struct CanonicalOptions {
-  /// Coordinate quantization in Å: positions are snapped to this grid
-  /// before hashing. Two structures closer than ~grid/2 per coordinate
-  /// hash identically.
-  double grid = 1e-4;
-  /// Subtract the centroid first (translation invariance). Disable for
-  /// workloads where absolute placement is meaningful.
-  bool center = true;
-  /// Also rotate into the principal-axes frame before quantizing,
-  /// making the key invariant under rigid rotation. Off by default:
-  /// model outputs are rotation-invariant only mathematically, not
-  /// bit-for-bit, so a rotation-folded cache returns answers computed
-  /// for a rotated copy of the query (semantic caching). Degenerate
-  /// inertia spectra (spheres, linear molecules) fold imperfectly.
-  bool align_principal_axes = false;
-};
-
-/// 64-bit FNV-1a hash of the canonical form of `sample`: sorted
-/// (species, quantized position) records plus the quantized lattice and
-/// the dataset id. Everything that feeds a forward pass is hashed;
-/// labels (scalar/class targets, forces) are not. Deterministic across
-/// runs and platforms for identical inputs.
-std::uint64_t canonical_structure_hash(const data::StructureSample& sample,
-                                       const CanonicalOptions& opts = {});
+/// 64-bit FNV-1a hash of the canonical form of `sample` (the
+/// response-cache key path in serve/frontend): sorted (species,
+/// quantized position) records plus the quantized lattice and the
+/// dataset id. The form folds atom permutation and rigid translation
+/// (the centroid is subtracted), and quantizes coordinates on a
+/// 1e-4 Å grid so float noise below it does not split keys: two
+/// structures closer than ~grid/2 per coordinate hash identically.
+/// Rigid rotation is not folded — model outputs are rotation-invariant
+/// only mathematically, not bit for bit. Everything that feeds a
+/// forward pass is hashed; labels (scalar/class targets, forces) are
+/// not. Deterministic across runs and platforms for identical inputs.
+std::uint64_t canonical_structure_hash(const data::StructureSample& sample);
 
 /// FNV-1a over a byte string (seed chaining: pass a previous hash as
 /// `seed` to combine).

@@ -175,7 +175,9 @@ TEST_P(LoaderShardTest, ShardsPartitionTheDataset) {
     for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
       const data::Batch batch = loader.batch(b);
       EXPECT_LE(batch.num_graphs(), batch_size);
-      if (drop_last) EXPECT_EQ(batch.num_graphs(), batch_size);
+      if (drop_last) {
+        EXPECT_EQ(batch.num_graphs(), batch_size);
+      }
       const Tensor& gaps = batch.scalar_targets.at("band_gap");
       for (std::int64_t g = 0; g < gaps.size(0); ++g) {
         seen.insert(gaps.at(g, 0));

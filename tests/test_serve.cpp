@@ -82,12 +82,40 @@ PredictRequest make_request(const data::StructureSample& s,
   return r;
 }
 
+/// The serving counters in the global registry: the scheduler's
+/// requests and batches and the queue's deadline drops. Tests take one
+/// before driving traffic and subtract it once the queue is drained.
+struct RegistryCounts {
+  std::int64_t requests =
+      obs::MetricsRegistry::global().counter("serve.requests").value();
+  std::int64_t batches =
+      obs::MetricsRegistry::global().counter("serve.batches").value();
+  std::int64_t deadline_drops =
+      obs::MetricsRegistry::global().counter("serve.deadline_drops").value();
+
+  RegistryCounts operator-(const RegistryCounts& o) const {
+    RegistryCounts d = *this;
+    d.requests -= o.requests;
+    d.batches -= o.batches;
+    d.deadline_drops -= o.deadline_drops;
+    return d;
+  }
+};
+
+/// Enqueue a request the queue is expected to accept.
+std::future<PredictResult> push_accepted(RequestQueue& queue,
+                                         PredictRequest request) {
+  PushResult r = queue.try_push(std::move(request));
+  EXPECT_EQ(r.status, PushStatus::kAccepted);
+  return std::move(r.future);
+}
+
 TEST(RequestQueue, FlushesImmediatelyAtMaxBatchSize) {
   const auto pool = sample_pool(4, 11);
   RequestQueue queue;
   std::vector<std::future<PredictResult>> futures;
   for (const auto& s : pool) {
-    futures.push_back(queue.push(make_request(s, "band_gap")));
+    futures.push_back(push_accepted(queue, make_request(s, "band_gap")));
   }
   const auto t0 = std::chrono::steady_clock::now();
   // A full batch must not wait out the 1-second deadline.
@@ -104,8 +132,8 @@ TEST(RequestQueue, FlushesImmediatelyAtMaxBatchSize) {
 TEST(RequestQueue, FlushesOnDeadlineWithPartialBatch) {
   const auto pool = sample_pool(2, 12);
   RequestQueue queue;
-  queue.push(make_request(pool[0], "band_gap"));
-  queue.push(make_request(pool[1], "band_gap"));
+  push_accepted(queue, make_request(pool[0], "band_gap"));
+  push_accepted(queue, make_request(pool[1], "band_gap"));
   auto batch = queue.pop_batch(8, /*max_wait_us=*/20'000);
   EXPECT_EQ(batch.size(), 2u);  // deadline flush, not a hang
 }
@@ -113,10 +141,10 @@ TEST(RequestQueue, FlushesOnDeadlineWithPartialBatch) {
 TEST(RequestQueue, BatchesAreSingleTarget) {
   const auto pool = sample_pool(4, 13);
   RequestQueue queue;
-  queue.push(make_request(pool[0], "band_gap"));
-  queue.push(make_request(pool[1], "efermi"));
-  queue.push(make_request(pool[2], "band_gap"));
-  queue.push(make_request(pool[3], "efermi"));
+  push_accepted(queue, make_request(pool[0], "band_gap"));
+  push_accepted(queue, make_request(pool[1], "efermi"));
+  push_accepted(queue, make_request(pool[2], "band_gap"));
+  push_accepted(queue, make_request(pool[3], "efermi"));
 
   auto first = queue.pop_batch(8, 10'000);
   ASSERT_EQ(first.size(), 2u);
@@ -133,16 +161,13 @@ TEST(RequestQueue, FullQueueRejectsAtCapacity) {
   const auto pool = sample_pool(3, 15);
   RequestQueue queue(/*capacity=*/2);
   EXPECT_EQ(queue.capacity(), 2u);
-  auto f1 = queue.push(make_request(pool[0], "band_gap"));
-  auto f2 = queue.push(make_request(pool[1], "band_gap"));
+  auto f1 = push_accepted(queue, make_request(pool[0], "band_gap"));
+  auto f2 = push_accepted(queue, make_request(pool[1], "band_gap"));
 
-  // Third request: non-throwing path reports kQueueFull, throwing path
-  // sheds with ShedError (catchable as matsci::Error too).
+  // Third request: reported as kQueueFull, never queued.
   PushResult r = queue.try_push(make_request(pool[2], "band_gap"));
   EXPECT_EQ(r.status, PushStatus::kQueueFull);
   EXPECT_FALSE(r.future.valid());
-  EXPECT_THROW(queue.push(make_request(pool[2], "band_gap")), ShedError);
-  EXPECT_EQ(queue.rejected_full(), 2);
   EXPECT_EQ(queue.size(), 2u);
 
   // Popping frees capacity for new arrivals.
@@ -155,8 +180,8 @@ TEST(RequestQueue, FullQueueRejectsAtCapacity) {
 TEST(RequestQueue, ZeroMaxWaitFlushesImmediately) {
   const auto pool = sample_pool(2, 16);
   RequestQueue queue;
-  queue.push(make_request(pool[0], "band_gap"));
-  queue.push(make_request(pool[1], "band_gap"));
+  push_accepted(queue, make_request(pool[0], "band_gap"));
+  push_accepted(queue, make_request(pool[1], "band_gap"));
   const auto t0 = std::chrono::steady_clock::now();
   // max_wait_us = 0: no coalescing window — take what matches right now.
   auto batch = queue.pop_batch(8, 0);
@@ -171,10 +196,11 @@ TEST(RequestQueue, ShutdownDrainsQueuedButUnbatchedRequests) {
   const auto pool = sample_pool(5, 17);
   RequestQueue queue;
   for (int i = 0; i < 3; ++i) {
-    queue.push(make_request(pool[static_cast<std::size_t>(i)], "band_gap"));
+    push_accepted(queue,
+                  make_request(pool[static_cast<std::size_t>(i)], "band_gap"));
   }
-  queue.push(make_request(pool[3], "efermi"));
-  queue.push(make_request(pool[4], "efermi"));
+  push_accepted(queue, make_request(pool[3], "efermi"));
+  push_accepted(queue, make_request(pool[4], "efermi"));
   queue.shutdown();
 
   // Everything accepted before shutdown keeps flowing out, one
@@ -192,10 +218,10 @@ TEST(RequestQueue, InteractiveAnchorPreemptsOlderBatchTraffic) {
   RequestQueue queue;
   PredictRequest bulk = make_request(pool[0], "efermi");
   bulk.priority = Priority::kBatch;
-  queue.push(std::move(bulk));
+  push_accepted(queue, std::move(bulk));
   PredictRequest urgent = make_request(pool[1], "band_gap");
   urgent.priority = Priority::kInteractive;
-  queue.push(std::move(urgent));
+  push_accepted(queue, std::move(urgent));
 
   // The anchor is the most urgent queued request, not the oldest: the
   // interactive band_gap request dispatches ahead of the earlier bulk
@@ -214,23 +240,27 @@ TEST(RequestQueue, ExpiredRequestsAreShedOnPop) {
   PredictRequest stale = make_request(pool[0], "band_gap");
   stale.deadline = std::chrono::steady_clock::now() -
                    std::chrono::milliseconds(1);  // already expired
-  auto stale_future = queue.push(std::move(stale));
-  auto fresh_future = queue.push(make_request(pool[1], "band_gap"));
+  auto stale_future = push_accepted(queue, std::move(stale));
+  auto fresh_future =
+      push_accepted(queue, make_request(pool[1], "band_gap"));
 
+  const RegistryCounts before;
   auto batch = queue.pop_batch(8, 0);
   ASSERT_EQ(batch.size(), 1u);  // only the fresh request dispatches
-  EXPECT_EQ(queue.deadline_drops(), 1);
+  EXPECT_EQ((RegistryCounts() - before).deadline_drops, 1);
   EXPECT_THROW(stale_future.get(), ShedError);
   batch[0].promise.set_value({});
   EXPECT_NO_THROW(fresh_future.get());
 }
 
-TEST(RequestQueue, PushAfterShutdownThrows) {
+TEST(RequestQueue, PushAfterShutdownReportsShutdown) {
   const auto pool = sample_pool(1, 14);
   RequestQueue queue;
   queue.shutdown();
   EXPECT_TRUE(queue.is_shutdown());
-  EXPECT_THROW(queue.push(make_request(pool[0], "band_gap")), matsci::Error);
+  PushResult r = queue.try_push(make_request(pool[0], "band_gap"));
+  EXPECT_EQ(r.status, PushStatus::kShutdown);
+  EXPECT_FALSE(r.future.valid());
   EXPECT_TRUE(queue.pop_batch(4, 1000).empty());
 }
 
@@ -312,22 +342,15 @@ TEST(InferenceSession, LoadsTrainingCheckpointWeights) {
 
 // --- BatchScheduler ---------------------------------------------------------
 
-/// The scheduler's request and batch counters in the global registry.
-/// Tests take one before building a scheduler and subtract it once the
-/// scheduler is drained.
-struct RegistryCounts {
-  std::int64_t requests =
-      obs::MetricsRegistry::global().counter("serve.requests").value();
-  std::int64_t batches =
-      obs::MetricsRegistry::global().counter("serve.batches").value();
+/// Enqueue a structure the scheduler is expected to accept.
+std::future<PredictResult> submit_accepted(BatchScheduler& scheduler,
+                                           const data::StructureSample& s,
+                                           const std::string& target) {
+  PushResult r = scheduler.try_submit(s, target);
+  EXPECT_EQ(r.status, PushStatus::kAccepted);
+  return std::move(r.future);
+}
 
-  RegistryCounts operator-(const RegistryCounts& o) const {
-    RegistryCounts d = *this;
-    d.requests -= o.requests;
-    d.batches -= o.batches;
-    return d;
-  }
-};
 
 TEST(BatchScheduler, ConcurrentClientsAllReceiveExactResults) {
   auto session =
@@ -359,7 +382,7 @@ TEST(BatchScheduler, ConcurrentClientsAllReceiveExactResults) {
             static_cast<std::size_t>(c * kPerClient + i) % pool.size();
         try {
           PredictResult r =
-              scheduler.submit(pool[idx], "band_gap").get();
+              submit_accepted(scheduler, pool[idx], "band_gap").get();
           if (r.prediction.value != reference[idx]) ++mismatches;
           if (r.batch_size < 1) ++failures;
         } catch (...) {
@@ -395,12 +418,11 @@ TEST(BatchScheduler, ShutdownDrainsInFlightWithoutDeadlock) {
   {
     BatchScheduler scheduler(session, opts);
     for (int i = 0; i < 12; ++i) {
-      futures.push_back(
-          scheduler.submit(pool[static_cast<std::size_t>(i) % pool.size()],
-                           "band_gap"));
+      futures.push_back(submit_accepted(
+          scheduler, pool[static_cast<std::size_t>(i) % pool.size()],
+          "band_gap"));
     }
     scheduler.shutdown();  // destructor would do the same
-    EXPECT_THROW(scheduler.submit(pool[0], "band_gap"), matsci::Error);
   }
   // Every queued request was served, none dropped.
   for (auto& f : futures) {
@@ -441,7 +463,6 @@ TEST(BatchScheduler, BoundedQueueShedsBurstsInsteadOfGrowing) {
     EXPECT_LE(scheduler.queue_depth(), opts.queue_capacity);
   }
   EXPECT_GT(shed, 0);
-  EXPECT_EQ(scheduler.rejected_full(), shed);
   // Every accepted request is served; shed ones never got a future.
   for (auto& f : accepted) {
     EXPECT_NO_THROW(f.get());
@@ -463,6 +484,53 @@ TEST(BatchScheduler, TrySubmitReportsShutdown) {
   EXPECT_FALSE(r.future.valid());
 }
 
+TEST(BatchScheduler, DeadlineDropsCountOncePerShedRequest) {
+  // Several dispatch jobs pop from one queue; each deadline drop must
+  // reach serve.deadline_drops exactly once, not once per job.
+  auto session =
+      std::make_shared<InferenceSession>(make_task(67), session_options());
+  const auto pool = sample_pool(4, 68);
+  const RegistryCounts before;
+
+  SchedulerOptions opts;
+  opts.max_batch_size = 4;
+  opts.max_wait_us = 200;
+  opts.num_workers = 2;
+  BatchScheduler scheduler(session, opts);
+  SubmitOptions tight;
+  tight.deadline_us = 1;
+  std::vector<std::future<PredictResult>> expiring;
+  for (int round = 0; round < 20; ++round) {
+    // Ten requests that expire almost at once, then four without a
+    // deadline. A job must pop after the ten to serve the four, so
+    // waiting for the four puts the drops before shutdown's drain,
+    // which sheds nothing.
+    std::vector<std::future<PredictResult>> plain;
+    for (int i = 0; i < 14; ++i) {
+      PushResult r = scheduler.try_submit(
+          pool[static_cast<std::size_t>(i) % pool.size()], "band_gap",
+          i < 10 ? tight : SubmitOptions{});
+      ASSERT_EQ(r.status, PushStatus::kAccepted);
+      (i < 10 ? expiring : plain).push_back(std::move(r.future));
+    }
+    for (auto& f : plain) {
+      EXPECT_NO_THROW(f.get());
+    }
+  }
+  scheduler.shutdown();
+
+  std::int64_t shed = 0;
+  for (auto& f : expiring) {
+    try {
+      f.get();
+    } catch (const ShedError&) {
+      ++shed;
+    }
+  }
+  EXPECT_GT(shed, 0);
+  EXPECT_EQ((RegistryCounts() - before).deadline_drops, shed);
+}
+
 TEST(BatchScheduler, UnknownTargetPropagatesThroughFuture) {
   auto session =
       std::make_shared<InferenceSession>(make_task(71), session_options());
@@ -472,10 +540,10 @@ TEST(BatchScheduler, UnknownTargetPropagatesThroughFuture) {
   opts.max_wait_us = 200;
   opts.num_workers = 1;
   BatchScheduler scheduler(session, opts);
-  auto bad = scheduler.submit(pool[0], "no_such_target");
+  auto bad = submit_accepted(scheduler, pool[0], "no_such_target");
   EXPECT_THROW(bad.get(), matsci::Error);
   // The worker survives a poisoned batch and keeps serving.
-  auto good = scheduler.submit(pool[0], "band_gap");
+  auto good = submit_accepted(scheduler, pool[0], "band_gap");
   EXPECT_NO_THROW(good.get());
   scheduler.shutdown();
 }
@@ -512,8 +580,10 @@ TEST(BatchScheduler, RoutesMixedTargetsToTheRightHeads) {
   std::vector<std::future<PredictResult>> gap_futures, stab_futures;
   for (int round = 0; round < 5; ++round) {
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      gap_futures.push_back(scheduler.submit(pool[i], "mp/band_gap"));
-      stab_futures.push_back(scheduler.submit(pool[i], "mp/stability"));
+      gap_futures.push_back(
+          submit_accepted(scheduler, pool[i], "mp/band_gap"));
+      stab_futures.push_back(
+          submit_accepted(scheduler, pool[i], "mp/stability"));
     }
   }
   for (std::size_t k = 0; k < gap_futures.size(); ++k) {
