@@ -16,11 +16,14 @@
 #             dispatcher serves — exemplar stores, the in-flight set,
 #             and the wake-pipe shutdown must all be TSan-clean.
 #   asan      -DMATSCI_SANITIZE=address build running the serve,
-#             backend, sim, and obs_http labels — the frontend's hot-swap drains retire
-#             whole scheduler/session object graphs while clients still
-#             hold futures into them, so lifetime bugs (use-after-free
-#             on a drained ServingModel, leaked promises) surface here,
-#             not under TSan. The backend label runs twice: once pooled
+#             backend, sim, obs_http, and ddp labels — the frontend's
+#             hot-swap drains retire whole scheduler/session object
+#             graphs while clients still hold futures into them, so
+#             lifetime bugs (use-after-free on a drained ServingModel,
+#             leaked promises) surface here, not under TSan; every
+#             collective reduces rank buffers on pool tasks, so a
+#             reduction that outlives a rank's buffer surfaces here
+#             too. The backend label runs twice: once pooled
 #             and once with MATSCI_TENSOR_POOL=0, so ASan sees each
 #             tensor buffer's exact lifetime instead of pooled reuse
 #             (a read past a pooled buffer's end lands in cached bytes
@@ -53,7 +56,7 @@ run_asan() {
   cmake -B "$repo_root/build-asan" -S "$repo_root" \
     -DMATSCI_SANITIZE=address
   cmake --build "$repo_root/build-asan" -j "$jobs"
-  ctest --test-dir "$repo_root/build-asan" -L "serve|backend|sim|obs_http" \
+  ctest --test-dir "$repo_root/build-asan" -L "serve|backend|sim|obs_http|ddp" \
     --output-on-failure -j "$jobs"
   # Pool off: every tensor buffer gets its own malloc/free so ASan
   # checks exact lifetimes (the pooled run above checks the recycling

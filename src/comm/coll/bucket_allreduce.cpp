@@ -11,15 +11,15 @@ namespace matsci::comm::coll {
 
 namespace {
 
+/// Bucket-only series. Posted fp32 bytes are counted where ranks meet
+/// (comm.allreduce.bytes, in GroupState::post).
 struct BucketMetrics {
-  obs::Counter& bytes;
   obs::Counter& compressed_bytes;
   obs::Histogram& reduce_us;
   obs::Series& overlap_fraction;
 
   static BucketMetrics& get() {
     static BucketMetrics* m = new BucketMetrics{
-        obs::MetricsRegistry::global().counter("comm.bucket.bytes"),
         obs::MetricsRegistry::global().counter("comm.bucket.compressed_bytes"),
         obs::MetricsRegistry::global().histogram("comm.bucket.reduce_us"),
         obs::MetricsRegistry::global().series("comm.overlap_fraction"),
@@ -115,7 +115,6 @@ void BucketAllreduce::launch(std::size_t bucket) {
     }
   }
   BucketMetrics& metrics = BucketMetrics::get();
-  metrics.bytes.add(fp32_bytes);
   metrics.compressed_bytes.add(wire);
   totals_.bytes += fp32_bytes;
   totals_.compressed_bytes += wire;

@@ -50,8 +50,7 @@ class BucketAllreduce {
  public:
   /// `params` is the model's registration-order parameter list; `comm`
   /// must outlive the engine. Slot ids are the engine's bucket indices,
-  /// so at most one bucketed engine may be live per group at a time
-  /// (slot sizes are sticky per group).
+  /// so at most one bucketed engine may be live per group at a time.
   BucketAllreduce(Communicator& comm, std::vector<core::Tensor> params,
                   const CollOptions& opts);
 

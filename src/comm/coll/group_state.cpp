@@ -1,12 +1,46 @@
 #include "comm/coll/group_state.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "comm/communicator.hpp"
 #include "core/macros.hpp"
 #include "obs/metrics.hpp"
 
 namespace matsci::comm::coll {
+
+namespace {
+
+/// Collective call/byte counters, added once per rank per accepted
+/// post — bucket rounds and blocking calls alike. Bytes count each
+/// rank's buffer contribution, so the world-total for one logical
+/// allreduce is world_size * buffer_bytes, matching how the α-β ring
+/// model accounts traffic per rank. A barrier is a zero-byte
+/// allreduce call.
+struct CollMetrics {
+  obs::Counter& allreduce_calls;
+  obs::Counter& allreduce_bytes;
+  obs::Counter& broadcast_calls;
+  obs::Counter& broadcast_bytes;
+
+  static CollMetrics& get() {
+    static CollMetrics* m = new CollMetrics{
+        obs::MetricsRegistry::global().counter("comm.allreduce.calls"),
+        obs::MetricsRegistry::global().counter("comm.allreduce.bytes"),
+        obs::MetricsRegistry::global().counter("comm.broadcast.calls"),
+        obs::MetricsRegistry::global().counter("comm.broadcast.bytes"),
+    };
+    return *m;
+  }
+};
+
+std::string describe(ReduceOp op, std::size_t size, std::int64_t root) {
+  static constexpr const char* kNames[] = {"mean", "sum", "max", "copy"};
+  return std::string(kNames[static_cast<int>(op)]) + " of " +
+         std::to_string(size) + " floats from root " + std::to_string(root);
+}
+
+}  // namespace
 
 GroupState::GroupState(std::int64_t world_size) : world_(world_size) {
   MATSCI_CHECK(world_size >= 1, "GroupState world_size must be >= 1");
@@ -39,29 +73,40 @@ GroupState::Slot& GroupState::slot(std::int64_t id) {
 void GroupState::reduce(Slot& s) {
   // Inputs are frozen: every rank posted (under s.mu) before the task
   // was submitted, and none touches its buffer until wait() observes
-  // done — so the hot loop runs lock-free. Accumulation is per element
-  // in ascending rank order in double precision, then one float cast
-  // and a float multiply by 1/world, so identity-compressed DDP is
-  // bit-identical to a plain double-accumulated mean in rank order.
+  // done — so the hot loop runs lock-free. The sum and the mean share
+  // one fold, so identity-compressed DDP is bit-identical to a plain
+  // double-accumulated mean in rank order.
   const obs::StopWatch watch;
   std::vector<float*> bufs;
   std::size_t size = 0;
+  ReduceOp op = ReduceOp::kMean;
+  std::int64_t root = 0;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     bufs = s.bufs;
     size = s.size;
-    s.scratch.assign(size, 0.0);
+    op = s.op;
+    root = s.root;
   }
-  const float inv = 1.0f / static_cast<float>(world_);
-  for (std::size_t i = 0; i < size; ++i) {
-    double acc = 0.0;
+  if (op == ReduceOp::kCopy) {
+    const float* src = bufs[static_cast<std::size_t>(root)];
     for (std::int64_t r = 0; r < world_; ++r) {
-      acc += static_cast<double>(bufs[static_cast<std::size_t>(r)][i]);
+      if (r != root) std::copy_n(src, size, bufs[static_cast<std::size_t>(r)]);
     }
-    float v = static_cast<float>(acc);
-    v *= inv;
-    for (std::int64_t r = 0; r < world_; ++r) {
-      bufs[static_cast<std::size_t>(r)][i] = v;
+  } else {
+    // Per element in ascending rank order: fold in double, cast once
+    // to float, scale in float (by 1/world for the mean).
+    const bool is_max = op == ReduceOp::kMax;
+    const float scale =
+        op == ReduceOp::kMean ? 1.0f / static_cast<float>(world_) : 1.0f;
+    for (std::size_t i = 0; i < size; ++i) {
+      double acc = is_max ? -std::numeric_limits<double>::infinity() : 0.0;
+      for (const float* b : bufs) {
+        const auto x = static_cast<double>(b[i]);
+        acc = is_max ? std::max(acc, x) : acc + x;
+      }
+      const float v = static_cast<float>(acc) * scale;
+      for (float* b : bufs) b[i] = v;
     }
   }
   // Notify under the lock: once a waiter sees done it may return, the
@@ -74,7 +119,8 @@ void GroupState::reduce(Slot& s) {
 }
 
 void GroupState::post(std::int64_t slot_id, std::int64_t rank,
-                      std::span<float> data) {
+                      std::span<float> data, ReduceOp op,
+                      std::int64_t root) {
   Slot& s = slot(slot_id);
   std::unique_lock<std::mutex> lock(s.mu);
   // A rank can lap its peers by one full round (it waited, they have
@@ -85,21 +131,32 @@ void GroupState::post(std::int64_t slot_id, std::int64_t rank,
   });
   if (s.poisoned) throw matsci::Error(s.poison_msg);
   if (failed_.load(std::memory_order_acquire)) {
-    throw RankFailedError("allreduce post on failed group (rank " +
-                          std::to_string(rank) + ")");
+    throw RankFailedError("collective post on failed group (rank " +
+                          std::to_string(rank) + ", slot " +
+                          std::to_string(slot_id) + ")");
   }
-  if (!s.size_set) {
+  if (s.arrived == 0) {
     s.size = data.size();
-    s.size_set = true;
-  } else if (s.size != data.size()) {
+    s.op = op;
+    s.root = root;
+  } else if (s.size != data.size() || s.op != op || s.root != root) {
     s.poisoned = true;
-    s.poison_msg = "bucket allreduce size mismatch on slot " +
-                   std::to_string(slot_id) + ": rank " + std::to_string(rank) +
-                   " posted " + std::to_string(data.size()) +
-                   " floats, peers posted " + std::to_string(s.size);
+    s.poison_msg = "collective mismatch on slot " + std::to_string(slot_id) +
+                   ": rank " + std::to_string(rank) + " posted " +
+                   describe(op, data.size(), root) + ", peers posted " +
+                   describe(s.op, s.size, s.root);
     lock.unlock();
     s.cv.notify_all();
     throw matsci::Error(s.poison_msg);
+  }
+  CollMetrics& metrics = CollMetrics::get();
+  const auto bytes = static_cast<std::int64_t>(data.size() * sizeof(float));
+  if (op == ReduceOp::kCopy) {
+    metrics.broadcast_calls.add(1);
+    metrics.broadcast_bytes.add(bytes);
+  } else {
+    metrics.allreduce_calls.add(1);
+    metrics.allreduce_bytes.add(bytes);
   }
   s.bufs[static_cast<std::size_t>(rank)] = data.data();
   ++s.arrived;
@@ -112,23 +169,24 @@ void GroupState::post(std::int64_t slot_id, std::int64_t rank,
 WaitInfo GroupState::wait(std::int64_t slot_id, std::int64_t rank) {
   Slot& s = slot(slot_id);
   std::unique_lock<std::mutex> lock(s.mu);
-  while (!s.done && !s.poisoned &&
-         !failed_.load(std::memory_order_acquire)) {
-    if (s.arrived == world_ && s.task.valid()) {
-      // The reduction is queued but maybe not started: drive it to
-      // completion inline so progress never depends on a free pool
-      // worker (TaskHandle reclaim contract).
+  while (!s.done && !s.poisoned) {
+    if (s.task.valid()) {
+      // Launched: every rank's buffer is in, so the round completes
+      // even if a peer has died since. Drive it to completion inline so
+      // progress never depends on a free pool worker (TaskHandle
+      // reclaim contract) and no reduction outlives this rank's buffer.
       core::parallel::TaskHandle task = s.task;
       lock.unlock();
       task.run_now_or_wait();
       lock.lock();
       continue;
     }
+    if (failed_.load(std::memory_order_acquire)) break;
     s.cv.wait(lock);
   }
   if (s.poisoned) throw matsci::Error(s.poison_msg);
   if (!s.done) {
-    throw RankFailedError("allreduce wait on failed group (rank " +
+    throw RankFailedError("collective wait on failed group (rank " +
                           std::to_string(rank) + ", slot " +
                           std::to_string(slot_id) + ")");
   }

@@ -1,16 +1,15 @@
 #pragma once
 
-// Shared rendezvous state behind the non-blocking bucket collectives
-// (DESIGN.md §12). One GroupState lives inside each ProcessGroup; rank
-// threads post per-bucket contributions as their gradients become
-// ready, the last-arriving rank launches the reduction on the shared
-// thread pool, and every rank later waits for the averaged result —
-// overlapping communication with whatever backward work remains.
+// The one rendezvous of a rank group (DESIGN.md §12). One GroupState
+// lives inside each ProcessGroup and every collective meets here: the
+// gradient buckets post non-blocking mean rounds as their gradients
+// become ready, and each blocking Communicator call posts one round on
+// a reserved slot and waits for it. The last-arriving rank launches the
+// reduction on the shared thread pool; every rank later waits for it.
 //
-// Unlike the blocking collectives (which are barrier-ordered, so every
-// rank issues them in the same sequence), slots are matched by id:
-// ranks may post bucket 3 before bucket 1 without deadlocking, which is
-// exactly what happens when autograd readiness order differs per rank.
+// Slots are matched by id, not call order: ranks may post bucket 3
+// before bucket 1 without deadlocking, which is exactly what happens
+// when autograd readiness order differs per rank.
 
 #include <atomic>
 #include <chrono>
@@ -27,6 +26,12 @@
 
 namespace matsci::comm::coll {
 
+/// What a round writes into every rank's buffer, per element. kMean,
+/// kSum: a double sum in ascending rank order, one float cast (kMean
+/// then scales by 1/world in float). kMax: the largest contribution,
+/// NaN contributions dropped. kCopy: the root's buffer (broadcast).
+enum class ReduceOp : std::uint8_t { kMean, kSum, kMax, kCopy };
+
 /// Completion record returned by wait(): how long the pool task spent
 /// reducing, and when it finished — the inputs to the per-step overlap
 /// accounting in BucketAllreduce.
@@ -35,11 +40,11 @@ struct WaitInfo {
   std::chrono::steady_clock::time_point done_at{};
 };
 
-/// Match-based mean-allreduce slots for one rank group. Thread-safe;
-/// every slot id must be used with the same buffer size by all ranks
-/// (a mismatch poisons the slot and throws on every rank instead of
-/// deadlocking), and each rank must pair every post() with exactly one
-/// wait() before reusing the slot id.
+/// Match-based collective slots for one rank group. Thread-safe. The
+/// first arrival fixes a round's size, op and root; a peer that posts
+/// otherwise poisons the slot, so this round and every later use of the
+/// slot id throw on every rank instead of deadlocking. Each rank pairs
+/// every post() with exactly one wait() before reusing the slot id.
 class GroupState {
  public:
   explicit GroupState(std::int64_t world_size);
@@ -52,18 +57,20 @@ class GroupState {
   std::int64_t world_size() const { return world_; }
 
   /// Post this rank's contribution for `slot_id`. When the last rank
-  /// arrives the mean-reduction is submitted to the shared thread
-  /// pool. The buffer must stay alive and untouched until the matching
-  /// wait() returns (or quiesce() is called during unwind).
-  void post(std::int64_t slot_id, std::int64_t rank, std::span<float> data);
+  /// arrives the reduction is submitted to the shared thread pool. The
+  /// buffer must stay alive and untouched until the matching wait()
+  /// returns (or abandon() is called during unwind).
+  void post(std::int64_t slot_id, std::int64_t rank, std::span<float> data,
+            ReduceOp op, std::int64_t root = 0);
 
   /// Block until `slot_id`'s reduction completes; afterwards this
-  /// rank's posted buffer holds the cross-rank mean. Helps execute the
-  /// reduction inline when the pool has not picked it up yet.
+  /// rank's posted buffer holds the result. Helps execute the reduction
+  /// inline when the pool has not picked it up yet.
   WaitInfo wait(std::int64_t slot_id, std::int64_t rank);
 
-  /// Mark the group failed: wakes every waiter (they throw
-  /// RankFailedError) and prevents new reductions from launching.
+  /// Mark the group failed: wakes every waiter of an unlaunched round
+  /// (they throw RankFailedError) and prevents new reductions from
+  /// launching.
   void notify_failure();
 
   /// Unwind path for a rank abandoning its posted contributions (its
@@ -80,18 +87,18 @@ class GroupState {
   struct Slot {
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<float*> bufs;       ///< per-rank contribution, this round
-    std::size_t size = 0;           ///< floats per contribution (sticky)
-    bool size_set = false;
+    std::vector<float*> bufs;  ///< per-rank contribution, this round
+    std::size_t size = 0;      ///< floats per contribution, this round
+    ReduceOp op = ReduceOp::kMean;
+    std::int64_t root = 0;
     std::int64_t arrived = 0;
     std::int64_t departed = 0;
     bool done = false;
-    bool poisoned = false;          ///< contract violation (size mismatch)
+    bool poisoned = false;     ///< contract violation (mismatched round)
     std::string poison_msg;
     double reduce_us = 0.0;
     std::chrono::steady_clock::time_point done_at{};
     core::parallel::TaskHandle task;
-    std::vector<double> scratch;    ///< double-precision accumulator
   };
 
   Slot& slot(std::int64_t id);

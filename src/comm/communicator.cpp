@@ -1,44 +1,19 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "comm/coll/group_state.hpp"
 #include "core/macros.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace matsci::comm {
 
 namespace {
 
-/// Collective telemetry: call/byte counters per collective plus a
-/// wall-clock histogram for the allreduce (the DDP-critical one, whose
-/// measured time fig2_scaleout compares against the α-β PerfModel).
-/// Bytes count each rank's buffer contribution, so the world-total for
-/// one logical allreduce is world_size * buffer_bytes — matching how
-/// the α-β ring model accounts traffic per rank. Non-blocking bucket
-/// collectives are accounted separately (comm.bucket.*) by the
-/// BucketAllreduce engine.
-struct CommMetrics {
-  obs::Counter& allreduce_calls;
-  obs::Counter& allreduce_bytes;
-  obs::Counter& broadcast_calls;
-  obs::Counter& broadcast_bytes;
-  obs::Histogram& allreduce_us;
-
-  static CommMetrics& get() {
-    static CommMetrics* m = new CommMetrics{
-        obs::MetricsRegistry::global().counter("comm.allreduce.calls"),
-        obs::MetricsRegistry::global().counter("comm.allreduce.bytes"),
-        obs::MetricsRegistry::global().counter("comm.broadcast.calls"),
-        obs::MetricsRegistry::global().counter("comm.broadcast.bytes"),
-        obs::MetricsRegistry::global().histogram("comm.allreduce_us"),
-    };
-    return *m;
-  }
-};
+/// The slot id every blocking collective meets on; bucket rounds use
+/// ids 0..B-1, so a blocking call never collides with a posted bucket.
+constexpr std::int64_t kBlockingSlot = -1;
 
 std::string join_ranks(const std::vector<std::int64_t>& ranks) {
   std::string out;
@@ -54,8 +29,6 @@ std::string join_ranks(const std::vector<std::int64_t>& ranks) {
 ProcessGroup::ProcessGroup(std::int64_t world_size)
     : world_size_(world_size),
       failed_(static_cast<std::size_t>(world_size), false),
-      bufs_(static_cast<std::size_t>(world_size), nullptr),
-      sizes_(static_cast<std::size_t>(world_size), 0),
       coll_(std::make_unique<coll::GroupState>(world_size)) {
   MATSCI_CHECK(world_size >= 1, "world_size must be >= 1");
 }
@@ -104,28 +77,6 @@ void ProcessGroup::throw_failed_locked() const {
   }
   throw RankFailedError("collective on group with failed rank(s) " +
                         join_ranks(dead));
-}
-
-void ProcessGroup::barrier_wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  throw_failed_locked();
-  const std::int64_t gen = barrier_generation_;
-  if (++barrier_arrived_ == world_size_) {
-    barrier_arrived_ = 0;
-    ++barrier_generation_;
-    lock.unlock();
-    cv_.notify_all();
-    return;
-  }
-  cv_.wait(lock, [&] {
-    return barrier_generation_ != gen || failed_count_ > 0;
-  });
-  if (barrier_generation_ == gen) {
-    // Failure wake before the barrier released: withdraw this arrival
-    // (the barrier can never complete) and report the dead ranks.
-    --barrier_arrived_;
-    throw_failed_locked();
-  }
 }
 
 ProcessGroup::Rebuilt ProcessGroup::rebuild_survivors(std::int64_t old_rank) {
@@ -189,59 +140,30 @@ void Communicator::collective_entry(const char* what) {
   g.throw_failed_locked();
 }
 
+void Communicator::meet(std::span<float> data, coll::ReduceOp op,
+                        std::int64_t root) {
+  group_->coll_->post(kBlockingSlot, rank_, data, op, root);
+  group_->coll_->wait(kBlockingSlot, rank_);
+}
+
 void Communicator::barrier() {
   collective_entry("barrier");
   if (world_size() == 1) return;
-  group_->barrier_wait();
-}
-
-void Communicator::post_and_validate(std::span<float> data, const char* what) {
-  // Per-rank cells: no lock needed, the barrier orders the writes.
-  group_->bufs_[static_cast<std::size_t>(rank_)] = data.data();
-  group_->sizes_[static_cast<std::size_t>(rank_)] = data.size();
-  group_->barrier_wait();
-  // Every rank sees the identical sizes_ snapshot here, so on a
-  // mismatch every rank takes the same throw (skipping the remaining
-  // barriers uniformly) instead of deadlocking with partial arrivals.
-  const std::size_t expect = group_->sizes_[0];
-  for (std::int64_t r = 1; r < world_size(); ++r) {
-    const std::size_t got = group_->sizes_[static_cast<std::size_t>(r)];
-    if (got != expect) {
-      throw matsci::Error(std::string(what) +
-                          " buffer size mismatch across ranks: rank 0 has " +
-                          std::to_string(expect) + " floats, rank " +
-                          std::to_string(r) + " has " + std::to_string(got));
-    }
-  }
+  meet({}, coll::ReduceOp::kSum, 0);
 }
 
 void Communicator::allreduce_sum(std::span<float> data) {
   collective_entry("allreduce");
   if (world_size() == 1) return;
   MATSCI_TRACE_SCOPE("comm/allreduce");
-  CommMetrics& metrics = CommMetrics::get();
-  metrics.allreduce_calls.add(1);
-  metrics.allreduce_bytes.add(
-      static_cast<std::int64_t>(data.size() * sizeof(float)));
-  const obs::StopWatch watch;
-  post_and_validate(data, "allreduce");
-  // Rank 0 reduces in double precision into the shared scratch buffer;
-  // everyone copies back.
-  if (rank_ == 0) {
-    group_->scratch_.assign(data.size(), 0.0);
-    for (std::int64_t r = 0; r < world_size(); ++r) {
-      const float* src = group_->bufs_[static_cast<std::size_t>(r)];
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        group_->scratch_[i] += static_cast<double>(src[i]);
-      }
-    }
-  }
-  group_->barrier_wait();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>(group_->scratch_[i]);
-  }
-  group_->barrier_wait();
-  metrics.allreduce_us.observe(watch.elapsed_us());
+  meet(data, coll::ReduceOp::kSum, 0);
+}
+
+void Communicator::allreduce_max(std::span<float> data) {
+  collective_entry("allreduce_max");
+  if (world_size() == 1) return;
+  MATSCI_TRACE_SCOPE("comm/allreduce");
+  meet(data, coll::ReduceOp::kMax, 0);
 }
 
 void Communicator::broadcast(std::span<float> data, std::int64_t root) {
@@ -249,16 +171,7 @@ void Communicator::broadcast(std::span<float> data, std::int64_t root) {
   collective_entry("broadcast");
   if (world_size() == 1) return;
   MATSCI_TRACE_SCOPE("comm/broadcast");
-  CommMetrics& metrics = CommMetrics::get();
-  metrics.broadcast_calls.add(1);
-  metrics.broadcast_bytes.add(
-      static_cast<std::int64_t>(data.size() * sizeof(float)));
-  post_and_validate(data, "broadcast");
-  if (rank_ != root) {
-    const float* src = group_->bufs_[static_cast<std::size_t>(root)];
-    std::memcpy(data.data(), src, data.size() * sizeof(float));
-  }
-  group_->barrier_wait();
+  meet(data, coll::ReduceOp::kCopy, root);
 }
 
 double Communicator::allreduce_scalar_sum(double value) {
@@ -272,23 +185,13 @@ double Communicator::allreduce_scalar_sum(double value) {
 }
 
 double Communicator::allreduce_scalar_max(double value) {
-  collective_entry("allreduce_scalar_max");
-  if (world_size() == 1) return value;
-  static thread_local float slot;
-  slot = static_cast<float>(value);
-  post_and_validate(std::span<float>(&slot, 1), "allreduce_scalar_max");
-  if (rank_ == 0) {
-    double m = -1e300;
-    for (std::int64_t r = 0; r < world_size(); ++r) {
-      m = std::max(m, static_cast<double>(
-                          *group_->bufs_[static_cast<std::size_t>(r)]));
-    }
-    group_->scratch_.assign(1, m);
+  if (world_size() == 1) {
+    collective_entry("allreduce_scalar_max");
+    return value;
   }
-  group_->barrier_wait();
-  const double result = group_->scratch_[0];
-  group_->barrier_wait();
-  return result;
+  float v = static_cast<float>(value);
+  allreduce_max(std::span<float>(&v, 1));
+  return static_cast<double>(v);
 }
 
 double Communicator::allreduce_scalar_min(double value) {
@@ -296,8 +199,9 @@ double Communicator::allreduce_scalar_min(double value) {
 }
 
 void Communicator::allreduce_mean_nb(std::int64_t slot, std::span<float> data) {
+  MATSCI_CHECK(slot >= 0, "allreduce_mean_nb slot " << slot);
   collective_entry("allreduce_mean_nb");
-  group_->coll_->post(slot, rank_, data);
+  group_->coll_->post(slot, rank_, data, coll::ReduceOp::kMean);
 }
 
 coll::WaitInfo Communicator::wait_allreduce(std::int64_t slot) {

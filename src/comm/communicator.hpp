@@ -15,6 +15,7 @@ namespace matsci::comm {
 namespace coll {
 class GroupState;
 struct WaitInfo;
+enum class ReduceOp : std::uint8_t;
 }  // namespace coll
 
 /// Thrown by collectives on the *surviving* ranks when a peer has been
@@ -41,11 +42,12 @@ class RankKilledError : public matsci::Error {
 /// broadcast from a root, barriers — match MPI/oneCCL exactly, so the
 /// training code is structured the same way as the paper's.
 ///
-/// Failure model (DESIGN.md §12): any rank can be marked failed (fault
-/// injection or an escaped exception); the barrier is a hand-rolled
-/// generation barrier so the survivors wake and throw RankFailedError
-/// instead of hanging, and rebuild_survivors() lets them agree on a
-/// fresh, densely re-ranked group.
+/// Every collective, blocking or bucketed, meets in the group's one
+/// coll::GroupState. Failure model (DESIGN.md §12): any rank can be
+/// marked failed (fault injection or an escaped exception); the
+/// rendezvous wakes the survivors so they throw RankFailedError instead
+/// of hanging, and rebuild_survivors() lets them agree on a fresh,
+/// densely re-ranked group.
 class ProcessGroup {
  public:
   /// Returns true to kill this rank at this collective entry (the
@@ -69,7 +71,8 @@ class ProcessGroup {
   bool has_failures() const;
   std::vector<std::int64_t> failed_ranks() const;
 
-  /// Non-blocking collective rendezvous state (created eagerly).
+  /// The collective rendezvous every Communicator call meets in
+  /// (created eagerly).
   coll::GroupState& coll_state() { return *coll_; }
 
   struct Rebuilt {
@@ -85,23 +88,16 @@ class ProcessGroup {
  private:
   friend class Communicator;
 
-  /// Failure-aware generation barrier; throws RankFailedError instead
-  /// of blocking forever when any rank has been marked failed.
-  void barrier_wait();
   void throw_failed_locked() const;
 
   std::int64_t world_size_;
+  // Guards failure marking, the fault hook and the survivor rebuild;
+  // no collective waits on cv_.
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::int64_t barrier_arrived_ = 0;
-  std::int64_t barrier_generation_ = 0;
   std::vector<bool> failed_;
   std::int64_t failed_count_ = 0;
   FaultHook fault_hook_;
-
-  std::vector<float*> bufs_;
-  std::vector<std::size_t> sizes_;
-  std::vector<double> scratch_;
 
   // Survivor-rebuild rendezvous (guarded by mu_).
   std::vector<std::int64_t> rebuild_waiters_;
@@ -111,11 +107,11 @@ class ProcessGroup {
   std::unique_ptr<coll::GroupState> coll_;
 };
 
-/// Per-rank handle onto a ProcessGroup. All ranks must call each
-/// blocking collective the same number of times (standard MPI
-/// contract); buffer sizes are exchanged and validated at every
-/// collective, so a size mismatch throws on every rank instead of
-/// deadlocking.
+/// Per-rank handle onto a ProcessGroup. All ranks must call the same
+/// blocking collectives in the same order (standard MPI contract); each
+/// call is one round on a reserved GroupState slot whose size, op and
+/// root are checked across ranks, so a mismatch throws on every rank
+/// instead of deadlocking.
 class Communicator {
  public:
   Communicator(std::shared_ptr<ProcessGroup> group, std::int64_t rank);
@@ -124,11 +120,16 @@ class Communicator {
   std::int64_t world_size() const { return group_->world_size(); }
   const std::shared_ptr<ProcessGroup>& group() const { return group_; }
 
+  /// A zero-length allreduce_sum round.
   void barrier();
 
   /// In-place sum across ranks (all ranks end with the identical total,
   /// accumulated in double precision for rank-count independence).
   void allreduce_sum(std::span<float> data);
+
+  /// In-place element-wise max across ranks; NaN contributions are
+  /// dropped (see the scalar forms below).
+  void allreduce_max(std::span<float> data);
 
   /// In-place broadcast of root's buffer to every rank.
   void broadcast(std::span<float> data, std::int64_t root);
@@ -144,10 +145,11 @@ class Communicator {
 
   /// Non-blocking entry points for the bucketed-collective subsystem
   /// (comm/coll): post this rank's contribution for logical slot
-  /// `slot` and return immediately; the mean-reduction runs on the
-  /// shared thread pool once the last rank posts. Slots are matched by
-  /// id (not call order), so ranks may post buckets in different
-  /// orders. The buffer must stay alive until wait_allreduce returns.
+  /// `slot` (>= 0; the blocking calls own a reserved id) and return
+  /// immediately; the mean-reduction runs on the shared thread pool
+  /// once the last rank posts. Slots are matched by id (not call
+  /// order), so ranks may post buckets in different orders. The buffer
+  /// must stay alive until wait_allreduce returns.
   void allreduce_mean_nb(std::int64_t slot, std::span<float> data);
   coll::WaitInfo wait_allreduce(std::int64_t slot);
 
@@ -159,10 +161,9 @@ class Communicator {
   /// hook, and fails fast when the group already has dead ranks.
   void collective_entry(const char* what);
 
-  /// Publish this rank's buffer + size, barrier, then validate that
-  /// every rank posted the same element count (throwing uniformly on
-  /// all ranks when not).
-  void post_and_validate(std::span<float> data, const char* what);
+  /// One blocking round: post `data` on the reserved slot and wait
+  /// for the result.
+  void meet(std::span<float> data, coll::ReduceOp op, std::int64_t root);
 
   std::shared_ptr<ProcessGroup> group_;
   std::int64_t rank_;

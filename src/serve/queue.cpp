@@ -61,6 +61,9 @@ void RequestQueue::drop_expired_locked(
 void RequestQueue::extract_matching_locked(
     const std::pair<std::string, std::int64_t>& key,
     std::int64_t max_batch_size, std::vector<PendingRequest>& batch) {
+  // A request that expired while the batch was forming is shed, not
+  // batched; during drain (shutdown) everything accepted is served.
+  if (!shutdown_) drop_expired_locked(std::chrono::steady_clock::now());
   for (auto it = pending_.begin();
        it != pending_.end() &&
        static_cast<std::int64_t>(batch.size()) < max_batch_size;) {

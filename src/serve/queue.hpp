@@ -96,9 +96,9 @@ struct PushResult {
 ///
 /// Overload behavior: with a nonzero `capacity`, try_push reports
 /// kQueueFull instead of growing without bound, and pop_batch sheds
-/// requests whose dispatch deadline expired while queued — their
-/// futures break with ShedError and each one adds 1 to the
-/// serve.deadline_drops registry counter.
+/// requests whose dispatch deadline expired while queued, also while
+/// its batch forms — their futures break with ShedError and each one
+/// adds 1 to the serve.deadline_drops registry counter.
 ///
 /// Shutdown semantics: try_push reports kShutdown after shutdown();
 /// pop_batch keeps returning queued work until the queue is drained
@@ -134,8 +134,9 @@ class RequestQueue {
   /// passed, remove it and count it. Caller holds the lock.
   void drop_expired_locked(std::chrono::steady_clock::time_point now);
 
-  /// Move every queued request matching `key` into `batch`, up to
-  /// `max_batch_size` total. Caller holds the lock.
+  /// Shed expired requests (unless shut down), then move every queued
+  /// request matching `key` into `batch`, up to `max_batch_size` total.
+  /// Caller holds the lock.
   void extract_matching_locked(const std::pair<std::string, std::int64_t>& key,
                                std::int64_t max_batch_size,
                                std::vector<PendingRequest>& batch);

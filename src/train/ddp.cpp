@@ -1,5 +1,6 @@
 #include "train/ddp.hpp"
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -150,35 +151,36 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
       bool skip_step = false;
       if (monitor) {
         MATSCI_TRACE_SCOPE("ddp/health");
-        const double loss_mean =
-            comm.allreduce_scalar_sum(static_cast<double>(out.loss.item())) /
-            static_cast<double>(comm.world_size());
+        // Three packed collectives; each element rounds through float
+        // exactly as its scalar form would.
+        const double finite_gn = local_nonfinite ? 0.0 : local_gn;
+        const auto gn = static_cast<float>(finite_gn);
+        std::array<float, 3> sums = {out.loss.item(), gn,
+                                     local_nonfinite ? 1.0f : 0.0f};
+        std::array<float, 3> maxes = {
+            gn, -gn, local_nonfinite ? static_cast<float>(rank) : -1.0f};
+        comm.allreduce_sum(sums);
+        comm.allreduce_max(maxes);
+        const double world = static_cast<double>(comm.world_size());
         std::vector<obs::health::Anomaly> step_anomalies =
-            monitor->on_step(attempted_steps, loss_mean);
+            monitor->on_step(attempted_steps, sums[0] / world);
 
         obs::health::CrossRankHealth cross;
         cross.reduced = true;
         cross.world_size = comm.world_size();
-        const double finite_gn = local_nonfinite ? 0.0 : local_gn;
-        cross.grad_norm_mean = comm.allreduce_scalar_sum(finite_gn) /
-                               static_cast<double>(comm.world_size());
-        cross.grad_norm_max = comm.allreduce_scalar_max(finite_gn);
-        cross.grad_norm_min = comm.allreduce_scalar_min(finite_gn);
-        cross.nonfinite_ranks = static_cast<std::int64_t>(
-            comm.allreduce_scalar_sum(local_nonfinite ? 1.0 : 0.0) + 0.5);
+        cross.grad_norm_mean = sums[1] / world;
+        cross.grad_norm_max = maxes[0];
+        cross.grad_norm_min = -maxes[1];
+        cross.nonfinite_ranks = static_cast<std::int64_t>(sums[2] + 0.5);
         // Offending rank: a non-finite rank if any exists, else the
         // owner of the max norm (ties resolve to the highest rank;
-        // identical on all ranks by allreduce). Scalar collectives
-        // round through float, so the ownership test must compare in
-        // float space or the owner misses its own maximum.
-        const double nf_offender = comm.allreduce_scalar_max(
-            local_nonfinite ? static_cast<double>(rank) : -1.0);
-        const bool owns_max = static_cast<float>(finite_gn) >=
-                              static_cast<float>(cross.grad_norm_max);
+        // identical on all ranks by allreduce). The max went through
+        // float, so ownership compares in float space or the owner
+        // misses its own maximum.
         const double max_offender = comm.allreduce_scalar_max(
-            owns_max ? static_cast<double>(rank) : -1.0);
+            gn >= maxes[0] ? static_cast<double>(rank) : -1.0);
         const double offender =
-            cross.nonfinite_ranks > 0 ? nf_offender : max_offender;
+            cross.nonfinite_ranks > 0 ? maxes[2] : max_offender;
         const std::vector<obs::health::Anomaly> cross_anomalies =
             monitor->on_cross_rank(cross, static_cast<std::int64_t>(offender));
         step_anomalies.insert(step_anomalies.end(), cross_anomalies.begin(),

@@ -1,7 +1,7 @@
 // Tests for the bucketed/compressed/elastic DDP subsystem (comm/coll +
-// the elastic recovery path in train/ddp). Runs in its own binary with
-// the ctest label `ddp` so scripts/ci_matrix.sh can put exactly this
-// suite under ThreadSanitizer.
+// the elastic recovery path in train/ddp). Runs with test_comm.cpp in
+// the binary labelled `ddp`, which scripts/ci_matrix.sh runs under
+// ThreadSanitizer and AddressSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <vector>
 
 #include "comm/coll/bucket_allreduce.hpp"
@@ -27,6 +28,7 @@
 #include "materials/materials_project.hpp"
 #include "models/egnn.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "optim/sgd.hpp"
 #include "tasks/regression.hpp"
 #include "train/ddp.hpp"
@@ -209,8 +211,34 @@ TEST(NbAllreduce, SlotsReusableAcrossSteps) {
   });
 }
 
+TEST(NbAllreduce, BlockingCollectivesRunBesidePostedBuckets) {
+  // Blocking calls meet on their own slot, so they complete while
+  // bucket slots 0 and 1 are posted but not yet waited.
+  comm::run_ranks(2, [](comm::Communicator& comm) {
+    const float r = static_cast<float>(comm.rank());
+    std::vector<float> bucket0 = {r, 2.0f * r};
+    std::vector<float> bucket1 = {4.0f + r};
+    comm.allreduce_mean_nb(0, bucket0);
+    comm.allreduce_mean_nb(1, bucket1);
+
+    std::vector<float> sum = {r + 1.0f, -r, 0.5f};
+    comm.allreduce_sum(sum);
+    EXPECT_EQ(sum, (std::vector<float>{3.0f, -1.0f, 1.0f}));
+    std::vector<float> bcast = {10.0f * r, 7.0f + r};
+    comm.broadcast(bcast, /*root=*/1);
+    EXPECT_EQ(bcast, (std::vector<float>{10.0f, 8.0f}));
+    comm.barrier();
+    EXPECT_EQ(comm.allreduce_scalar_max(-r), 0.0);
+
+    comm.wait_allreduce(1);
+    comm.wait_allreduce(0);
+    EXPECT_EQ(bucket0, (std::vector<float>{0.5f, 1.0f}));
+    EXPECT_EQ(bucket1, (std::vector<float>{4.5f}));
+  });
+}
+
 // ---------------------------------------------------------------------------
-// Communicator contract: size mismatches must throw, not deadlock
+// Communicator contract: mismatched rounds must throw, not deadlock
 // ---------------------------------------------------------------------------
 
 TEST(CommunicatorContract, MismatchedBlockingSizesThrowOnEveryRank) {
@@ -248,6 +276,74 @@ TEST(CommunicatorContract, MismatchedNbSizesPoisonTheSlotOnEveryRank) {
                       }),
       matsci::Error);
   EXPECT_EQ(threw.load(), 2);
+}
+
+/// Run `call` on every rank of a world-2 group; every rank must throw.
+void expect_mismatch_throws_on_every_rank(
+    const std::function<void(comm::Communicator&)>& call) {
+  std::atomic<int> threw{0};
+  EXPECT_THROW(comm::run_ranks(2,
+                               [&](comm::Communicator& comm) {
+                                 try {
+                                   call(comm);
+                                 } catch (const matsci::Error&) {
+                                   ++threw;
+                                   throw;
+                                 }
+                               }),
+               matsci::Error);
+  EXPECT_EQ(threw.load(), 2);
+}
+
+TEST(CommunicatorContract, MismatchedBroadcastRootThrowsOnEveryRank) {
+  expect_mismatch_throws_on_every_rank([](comm::Communicator& comm) {
+    std::vector<float> data(3, static_cast<float>(comm.rank()));
+    comm.broadcast(data, /*root=*/comm.rank());
+  });
+}
+
+TEST(CommunicatorContract, BroadcastAgainstAllreduceThrowsOnEveryRank) {
+  expect_mismatch_throws_on_every_rank([](comm::Communicator& comm) {
+    std::vector<float> data(3, 1.0f);
+    if (comm.rank() == 0) {
+      comm.broadcast(data, /*root=*/0);
+    } else {
+      comm.allreduce_sum(data);
+    }
+  });
+}
+
+TEST(CommunicatorContract, RankKilledInBlockingCollectivesFailsSurvivors) {
+  // Kill rank 2 of 3 at each kind of blocking call in turn: ranks 0 and
+  // 1 must throw RankFailedError out of whatever call they are in
+  // (never hang), and run_ranks reports only the killed rank.
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::int64_t kill_at = 1 + rep % 8;
+    comm::RunRanksOptions opts;
+    opts.fault_hook = [kill_at](std::int64_t rank, std::int64_t calls) {
+      return rank == 2 && calls == kill_at;
+    };
+    std::atomic<int> survivors_failed{0};
+    const comm::RunRanksReport report = comm::run_ranks(
+        3,
+        [&survivors_failed](comm::Communicator& comm) {
+          try {
+            for (int i = 0; i < 100; ++i) {
+              std::vector<float> v = {static_cast<float>(comm.rank())};
+              comm.allreduce_sum(v);
+              comm.broadcast(v, /*root=*/i % 3);
+              comm.barrier();
+              comm.allreduce_scalar_max(static_cast<double>(comm.rank()));
+            }
+          } catch (const comm::RankFailedError&) {
+            ++survivors_failed;
+          }
+        },
+        opts);
+    EXPECT_EQ(report.killed_ranks, std::vector<std::int64_t>{2})
+        << "rep " << rep;
+    EXPECT_EQ(survivors_failed.load(), 2) << "rep " << rep;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -556,6 +652,33 @@ TEST(DdpColl, ElasticRecoveryAfterRankKilledMidEpoch) {
   }
   EXPECT_TRUE(saw_rank_lost);
   std::filesystem::remove_all(ckpt_dir);
+}
+
+TEST(DdpColl, CommCountersSeeEveryRankAndBucketRound) {
+  // Collectives are counted where ranks meet, once per rank per post:
+  // the bucket rounds feed comm.allreduce.bytes (on both ranks), and
+  // the initial parameter broadcast feeds comm.broadcast.bytes once
+  // per rank.
+  materials::MaterialsProjectDataset ds(16, 35);
+  obs::Counter& allreduce_bytes =
+      obs::MetricsRegistry::global().counter("comm.allreduce.bytes");
+  obs::Counter& broadcast_bytes =
+      obs::MetricsRegistry::global().counter("comm.broadcast.bytes");
+  const std::int64_t allreduce_before = allreduce_bytes.value();
+  const std::int64_t broadcast_before = broadcast_bytes.value();
+  train::DDPTrainer ddp;
+  train::DDPOptions opts;
+  opts.world_size = 2;
+  opts.max_epochs = 1;
+  const train::DDPResult result = ddp.fit(make_factory(ds), opts);
+
+  ASSERT_GT(result.comm_bytes, 0);
+  EXPECT_GE(allreduce_bytes.value() - allreduce_before, 2 * result.comm_bytes);
+  std::int64_t param_bytes = 0;
+  for (const Tensor& p : make_task(13)->parameters()) {
+    param_bytes += p.numel() * static_cast<std::int64_t>(sizeof(float));
+  }
+  EXPECT_EQ(broadcast_bytes.value() - broadcast_before, 2 * param_bytes);
 }
 
 TEST(DdpColl, ElasticRequiresCheckpointDir) {

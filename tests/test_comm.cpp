@@ -57,6 +57,18 @@ TEST_P(CommWorldTest, ScalarMax) {
   });
 }
 
+TEST_P(CommWorldTest, ElementwiseMaxDropsNaN) {
+  const std::int64_t world = GetParam();
+  run_ranks(world, [world](Communicator& comm) {
+    const float r = static_cast<float>(comm.rank());
+    std::vector<float> data = {r, -r, comm.rank() == 0 ? std::nanf("") : r};
+    comm.allreduce_max(data);
+    EXPECT_EQ(data[0], static_cast<float>(world - 1));
+    EXPECT_EQ(data[1], 0.0f);
+    EXPECT_EQ(data[2], static_cast<float>(world - 1));
+  });
+}
+
 TEST_P(CommWorldTest, RepeatedCollectivesStayConsistent) {
   const std::int64_t world = GetParam();
   run_ranks(world, [world](Communicator& comm) {

@@ -253,6 +253,31 @@ TEST(RequestQueue, ExpiredRequestsAreShedOnPop) {
   EXPECT_NO_THROW(fresh_future.get());
 }
 
+TEST(RequestQueue, ExpiredRequestIsShedInsteadOfJoiningFormingBatch) {
+  const auto pool = sample_pool(2, 20);
+  RequestQueue queue;
+  auto anchor_future =
+      push_accepted(queue, make_request(pool[0], "band_gap"));
+  const RegistryCounts before;
+  std::vector<PendingRequest> batch;
+  std::thread popper(
+      [&] { batch = queue.pop_batch(8, /*max_wait_us=*/200'000); });
+  // The anchor leaves the queue under the lock the popper holds until
+  // it waits out its window, so an empty queue means it is waiting.
+  while (queue.size() != 0) std::this_thread::yield();
+  PredictRequest late = make_request(pool[1], "band_gap");
+  late.deadline = std::chrono::steady_clock::now() -
+                  std::chrono::milliseconds(1);  // already expired
+  auto late_future = push_accepted(queue, std::move(late));
+  popper.join();
+
+  for (PendingRequest& p : batch) p.promise.set_value({});
+  EXPECT_EQ(batch.size(), 1u);  // only the anchor dispatches
+  EXPECT_EQ((RegistryCounts() - before).deadline_drops, 1);
+  EXPECT_THROW(late_future.get(), ShedError);
+  EXPECT_NO_THROW(anchor_future.get());
+}
+
 TEST(RequestQueue, PushAfterShutdownReportsShutdown) {
   const auto pool = sample_pool(1, 14);
   RequestQueue queue;
