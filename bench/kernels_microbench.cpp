@@ -5,8 +5,9 @@
 // are visible independent of end-to-end training noise.
 //
 // The custom main() additionally sweeps {scalar, best-SIMD} kernel
-// backends x {1, 2, 4, max} pool threads on the large matmul /
-// elementwise / reduction / segment_sum / gather shapes and emits one
+// backends x {1, 2, 4, max} pool threads on the large matmul, the
+// edge-layer matmul forward + backward, and the elementwise /
+// reduction / segment_sum / gather shapes and emits one
 // JSON line per (kernel, backend, threads) point through the shared
 // bench reporter (bench_common.hpp). Each line carries
 // `speedup_vs_1t` (thread scaling within a backend) and
@@ -233,6 +234,23 @@ double sweep_matmul(std::int64_t n) {
       [&] { benchmark::DoNotOptimize(core::matmul(a, b)); }, 5);
 }
 
+double sweep_matmul_bwd(std::int64_t n) {
+  // The first EGNN edge layer of a pretraining step, [n,65]·[65,32]:
+  // the forward plus the backward to both operands (dA and dW).
+  core::RngEngine rng(46);
+  core::Tensor a = core::Tensor::randn({n, 65}, rng);
+  core::Tensor w = core::Tensor::randn({65, 32}, rng);
+  a.set_requires_grad(true);
+  w.set_requires_grad(true);
+  return time_us_per_call(
+      [&] {
+        a.zero_grad();
+        w.zero_grad();
+        core::sum(core::matmul(a, w)).backward();
+      },
+      5);
+}
+
 double sweep_segment_sum(std::int64_t rows) {
   const std::int64_t segments = rows / 8;
   core::RngEngine rng(42);
@@ -298,6 +316,7 @@ void run_thread_sweep(obs::BenchReporter& reporter) {
 
   const SweepKernel kernels[] = {
       {"matmul", 256, sweep_matmul},
+      {"matmul_bwd", 9216, sweep_matmul_bwd},
       {"elementwise", 1 << 20, sweep_elementwise},
       {"reduce_sum", 1 << 20, sweep_reduce},
       {"segment_sum", 8192, sweep_segment_sum},

@@ -32,8 +32,14 @@
 #             the regular tier-1 build tree — the portable kernel path
 #             must keep passing the full suite on machines whose
 #             default backend is AVX2/AVX-512, or it rots unnoticed.
+#   avx2      the full suite with MATSCI_KERNEL_BACKEND=avx2 on the
+#             scalar stage's build tree. On an AVX-512 host only the
+#             cross-backend tests reach the AVX2 tier otherwise, and its
+#             8-lane GEMM panels and masked column tails are code of
+#             their own. Skipped, with a message, on a CPU without
+#             AVX2 and FMA.
 #
-# Usage: ci_matrix.sh [tsan|asan|scalar|all]   (default: all)
+# Usage: ci_matrix.sh [tsan|asan|scalar|avx2|all]   (default: all)
 # Build trees land in build-tsan/, build-asan/, and build-scalar/ at the
 # repo root.
 set -eu
@@ -74,17 +80,32 @@ run_scalar() {
     --output-on-failure -j "$jobs"
 }
 
+run_avx2() {
+  echo "=== ci_matrix: avx2 (MATSCI_KERNEL_BACKEND=avx2) ==="
+  if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null ||
+     ! grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    echo "ci_matrix: this CPU lacks AVX2/FMA; skipping the avx2 stage"
+    return 0
+  fi
+  cmake -B "$repo_root/build-scalar" -S "$repo_root"
+  cmake --build "$repo_root/build-scalar" -j "$jobs"
+  MATSCI_KERNEL_BACKEND=avx2 ctest --test-dir "$repo_root/build-scalar" \
+    --output-on-failure -j "$jobs"
+}
+
 case "$stage" in
   tsan) run_tsan ;;
   asan) run_asan ;;
   scalar) run_scalar ;;
+  avx2) run_avx2 ;;
   all)
     run_tsan
     run_asan
     run_scalar
+    run_avx2
     ;;
   *)
-    echo "ci_matrix: unknown stage '$stage' (tsan|asan|scalar|all)" >&2
+    echo "ci_matrix: unknown stage '$stage' (tsan|asan|scalar|avx2|all)" >&2
     exit 2
     ;;
 esac

@@ -61,12 +61,9 @@ struct KernelTable {
 
   // --- dense linear algebra ------------------------------------------------
   /// c rows [i0, i1) of C = A[n,k] * B[k,m]. Fully overwrites those rows
-  /// (output may be uninitialized).
+  /// (output may be uninitialized). Row i of C depends only on row i of
+  /// A. Also serves dA = G * B^T, called on G and the transposed B.
   void (*matmul_nn)(const float* a, const float* b, float* c, std::int64_t i0,
-                    std::int64_t i1, std::int64_t k, std::int64_t m);
-  /// ga rows [i0, i1) of dA = G[n,m] * B[k,m]^T (row-row dot products).
-  /// Fully overwrites.
-  void (*matmul_nt)(const float* g, const float* b, float* ga, std::int64_t i0,
                     std::int64_t i1, std::int64_t k, std::int64_t m);
   /// gb rows [k0, k1) of dB = A[n,k]^T * G[n,m], accumulating over i in
   /// ascending order. Fully overwrites those rows.
@@ -84,11 +81,11 @@ struct KernelTable {
   void (*binary_grad_a)(BinaryOp op, Bcast kind, const float* go,
                         const float* a, const float* b, float* ga,
                         std::int64_t begin, std::int64_t end, std::int64_t d);
-  /// gb[i] = go[i] * d(op)/db at (a[i], b[i]) — kSame broadcasting only
-  /// (the reduced broadcast kinds stay serial in ops.cpp).
-  void (*binary_grad_b_same)(BinaryOp op, const float* go, const float* a,
-                             const float* b, float* gb, std::int64_t begin,
-                             std::int64_t end);
+  /// gb[i] = go[i] * d(op)/db at (a[i], b[bcast(i)]), unreduced: for the
+  /// broadcast kinds ops.cpp sums these terms into b's shape.
+  void (*binary_grad_b)(BinaryOp op, Bcast kind, const float* go,
+                        const float* a, const float* b, float* gb,
+                        std::int64_t begin, std::int64_t end, std::int64_t d);
   /// y[i] = op(x[i]) for i in [begin, end).
   void (*unary_map)(UnaryOp op, const float* x, float* y, std::int64_t begin,
                     std::int64_t end, float arg0, float arg1);

@@ -34,6 +34,12 @@ std::int64_t rows_grain(std::int64_t work_target, std::int64_t per_row) {
       1, work_target / std::max<std::int64_t>(1, per_row));
 }
 
+/// Matmul rows per chunk: whole groups of 4 rows, the SIMD kernels'
+/// register block, so no chunk boundary splits one.
+std::int64_t gemm_grain(std::int64_t per_row) {
+  return (rows_grain(kMatmulGrainWork, per_row) + 3) / 4 * 4;
+}
+
 struct BcastInfo {
   Bcast kind;
   std::int64_t rows;  // of a (or numel when 1-D)
@@ -65,23 +71,6 @@ BcastInfo classify_broadcast(const Tensor& a, const Tensor& b,
   return {row ? Bcast::kRow : Bcast::kCol, n, d};
 }
 
-/// ∂out/∂b at (x, y) for the table-routed binary ops — only used by the
-/// serial reduced-broadcast gradient loops (the kSame path runs through
-/// the vectorized binary_grad_b_same kernel instead).
-float dfb_reduced(BinaryOp op, float x, float y) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      return 1.0f;
-    case BinaryOp::kSub:
-      return -1.0f;
-    case BinaryOp::kMul:
-      return x;
-    case BinaryOp::kDiv:
-      return -x / (y * y);
-  }
-  return 0.0f;  // unreachable
-}
-
 /// Differentiable binary elementwise op, routed through the backend
 /// kernel table (b-side broadcasting).
 Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
@@ -109,47 +98,68 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
         const float* go = o.grad.data();
         const float* pa2 = ia->data.data();
         const float* pb2 = ib->data.data();
+        // add and sub pass go through unchanged to a (dfa == 1), and add
+        // to b: those terms are go itself, with no copy.
         if (ia->needs_grad()) {
-          // dL/da is elementwise in i for every broadcast kind.
-          FloatStorage ga =
-              FloatStorage::uninitialized(static_cast<std::size_t>(n));
-          parallel::parallel_for(
-              0, n, kElemGrain, [&](std::int64_t bb, std::int64_t e) {
-                kt2.binary_grad_a(op, info.kind, go, pa2, pb2, ga.data(), bb,
-                                  e, d);
-              });
-          ia->accumulate_grad(ga.data());
-        }
-        if (ib->needs_grad()) {
-          if (info.kind == Bcast::kSame) {
-            FloatStorage gb =
+          if (op == BinaryOp::kAdd || op == BinaryOp::kSub) {
+            ia->accumulate_grad(go);
+          } else {
+            FloatStorage ga =
                 FloatStorage::uninitialized(static_cast<std::size_t>(n));
             parallel::parallel_for(
                 0, n, kElemGrain, [&](std::int64_t bb, std::int64_t e) {
-                  kt2.binary_grad_b_same(op, go, pa2, pb2, gb.data(), bb, e);
+                  kt2.binary_grad_a(op, info.kind, go, pa2, pb2, ga.data(),
+                                    bb, e, d);
+                });
+            ia->accumulate_grad(ga.data());
+          }
+        }
+        if (!ib->needs_grad()) return;
+        FloatStorage terms;
+        const float* t = go;
+        if (op != BinaryOp::kAdd) {
+          terms = FloatStorage::uninitialized(static_cast<std::size_t>(n));
+          parallel::parallel_for(
+              0, n, kElemGrain, [&](std::int64_t bb, std::int64_t e) {
+                kt2.binary_grad_b(op, info.kind, go, pa2, pb2, terms.data(),
+                                  bb, e, d);
+              });
+          t = terms.data();
+        }
+        // Reduce the terms into b's shape. Every output sums its terms in
+        // ascending flat order from zero, which keeps the scalar tier
+        // legacy-exact and every tier thread-count invariant.
+        switch (info.kind) {
+          case Bcast::kSame:
+            ib->accumulate_grad(t);
+            break;
+          case Bcast::kScalar: {
+            float s = 0.0f;
+            for (std::int64_t i = 0; i < n; ++i) s += t[i];
+            ib->accumulate_grad(&s);
+            break;
+          }
+          case Bcast::kRow: {
+            FloatStorage gb = FloatStorage::zeros(static_cast<std::size_t>(d));
+            for (std::int64_t r = 0; r < info.rows; ++r)
+              kt2.add_rows(gb.data(), t + r * d, d);
+            ib->accumulate_grad(gb.data());
+            break;
+          }
+          case Bcast::kCol: {
+            FloatStorage gb = FloatStorage::uninitialized(
+                static_cast<std::size_t>(info.rows));
+            parallel::parallel_for(
+                0, info.rows, rows_grain(kRowGrainWork, d),
+                [&](std::int64_t rb, std::int64_t re) {
+                  for (std::int64_t r = rb; r < re; ++r) {
+                    float s = 0.0f;
+                    for (std::int64_t j = 0; j < d; ++j) s += t[r * d + j];
+                    gb[r] = s;
+                  }
                 });
             ib->accumulate_grad(gb.data());
-          } else {
-            // The broadcast kinds reduce over a, which stays serial
-            // (b is small there).
-            FloatStorage gb = FloatStorage::zeros(ib->data.size());
-            switch (info.kind) {
-              case Bcast::kScalar:
-                for (std::int64_t i = 0; i < n; ++i)
-                  gb[0] += go[i] * dfb_reduced(op, pa2[i], pb2[0]);
-                break;
-              case Bcast::kRow:
-                for (std::int64_t i = 0; i < n; ++i)
-                  gb[i % d] += go[i] * dfb_reduced(op, pa2[i], pb2[i % d]);
-                break;
-              case Bcast::kCol:
-                for (std::int64_t i = 0; i < n; ++i)
-                  gb[i / d] += go[i] * dfb_reduced(op, pa2[i], pb2[i / d]);
-                break;
-              case Bcast::kSame:
-                break;  // handled above
-            }
-            ib->accumulate_grad(gb.data());
+            break;
           }
         }
       });
@@ -453,8 +463,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   FloatStorage out =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * m));
   parallel::parallel_for(
-      0, n, rows_grain(kMatmulGrainWork, 2 * k * m),
-      [&](std::int64_t ib, std::int64_t ie) {
+      0, n, gemm_grain(2 * k * m), [&](std::int64_t ib, std::int64_t ie) {
         kt.matmul_nn(pa, pb, out.data(), ib, ie, k, m);
       });
 
@@ -466,14 +475,20 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
         const backend::KernelTable& kt2 = backend::kernels();
         const float* go = o.grad.data();
         if (ia->needs_grad()) {
-          // dA = dC * B^T — row-sliced over i, disjoint ga rows.
+          // dA = dC * B^T runs on the forward kernel: B^T [m, k] is the
+          // B-sized operand, transposed once. Row-sliced over i.
+          FloatStorage bt =
+              FloatStorage::uninitialized(static_cast<std::size_t>(k * m));
+          const float* pb2 = ib->data.data();
+          for (std::int64_t kk = 0; kk < k; ++kk)
+            for (std::int64_t j = 0; j < m; ++j)
+              bt[j * k + kk] = pb2[kk * m + j];
           FloatStorage ga =
               FloatStorage::uninitialized(static_cast<std::size_t>(n * k));
-          const float* pb2 = ib->data.data();
           parallel::parallel_for(
-              0, n, rows_grain(kMatmulGrainWork, 2 * k * m),
+              0, n, gemm_grain(2 * k * m),
               [&](std::int64_t ib2, std::int64_t ie) {
-                kt2.matmul_nt(go, pb2, ga.data(), ib2, ie, k, m);
+                kt2.matmul_nn(go, bt.data(), ga.data(), ib2, ie, m, k);
               });
           ia->accumulate_grad(ga.data());
         }
@@ -484,7 +499,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
               FloatStorage::uninitialized(static_cast<std::size_t>(k * m));
           const float* pa2 = ia->data.data();
           parallel::parallel_for(
-              0, k, rows_grain(kMatmulGrainWork, 2 * n * m),
+              0, k, gemm_grain(2 * n * m),
               [&](std::int64_t kb, std::int64_t ke) {
                 kt2.matmul_tn(pa2, go, gb.data(), kb, ke, n, k, m);
               });
@@ -577,9 +592,13 @@ Tensor concat_cols(const std::vector<Tensor>& parts) {
           if (inputs[pi]->needs_grad()) {
             FloatStorage g =
                 FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
-            for (std::int64_t i = 0; i < n; ++i)
-              std::copy(go + i * total + off2, go + i * total + off2 + d,
-                        g.data() + i * d);
+            parallel::parallel_for(
+                0, n, rows_grain(kRowGrainWork, d),
+                [&](std::int64_t ib, std::int64_t ie) {
+                  for (std::int64_t i = ib; i < ie; ++i)
+                    std::copy(go + i * total + off2,
+                              go + i * total + off2 + d, g.data() + i * d);
+                });
             inputs[pi]->accumulate_grad(g.data());
           }
           off2 += d;

@@ -26,6 +26,7 @@
 #include "graph/radius_graph.hpp"
 #include "models/egnn.hpp"
 #include "sym/synthetic_dataset.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -147,6 +148,122 @@ TEST(BackendScalar, MatmulMatchesLegacySerialLoopBitForBit) {
   EXPECT_TRUE(bit_identical(expected, tensor_bits(core::matmul(a, b))));
 }
 
+// --- GEMM kernels -----------------------------------------------------------
+
+TEST(BackendGemm, MatmulRowDependsOnlyOnItsOwnInputRow) {
+  // The SIMD register block spans 4 rows, so a row must never see the
+  // rows blocked with it: n rows at once equal n one-row products bit
+  // for bit, across 2-vector, 1-vector and masked column panels. This is
+  // what keeps a batched forward equal to single-structure forwards.
+  BackendGuard guard;
+  core::RngEngine rng(77);
+  const std::int64_t k = 13;
+  for (const bk::Backend backend : supported_backends()) {
+    bk::set_backend(backend);
+    for (const std::int64_t m : {1, 8, 15, 16, 17, 31, 32, 33, 65}) {
+      core::Tensor b = core::Tensor::randn({k, m}, rng);
+      for (std::int64_t n = 1; n <= 9; ++n) {
+        core::Tensor a = core::Tensor::randn({n, k}, rng);
+        a.data()[(n - 1) * k + 2] = 0.0f;  // the scalar zero-skip
+        core::NoGradGuard no_grad;
+        const std::vector<float> all = tensor_bits(core::matmul(a, b));
+        for (std::int64_t i = 0; i < n; ++i) {
+          core::Tensor row = core::Tensor::from_vector(
+              std::vector<float>(a.data() + i * k, a.data() + (i + 1) * k),
+              {1, k});
+          const std::vector<float> one = tensor_bits(core::matmul(row, b));
+          ASSERT_EQ(0, std::memcmp(one.data(), all.data() + i * m,
+                                   static_cast<std::size_t>(m) * sizeof(float)))
+              << bk::backend_name(backend) << " n=" << n << " m=" << m
+              << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendGemm, WeightGradIsOneAscendingChainPerElement) {
+  // dW[kk, j] sums A[i, kk] * dC[i, j] over i ascending. The SIMD tiers
+  // form each element as one fused chain from zero, whatever kk block
+  // it falls in; the scalar tier keeps the legacy zero-skip loop.
+  BackendGuard guard;
+  core::RngEngine rng(78);
+  const std::int64_t n = 37, m = 33;
+  for (const std::int64_t k : {1, 3, 4, 5, 65}) {
+    std::vector<float> av = tensor_bits(core::Tensor::randn({n, k}, rng));
+    av[0] = 0.0f;
+    av[static_cast<std::size_t>(n * k - 1)] = -0.0f;
+    const std::vector<float> wv = tensor_bits(core::Tensor::randn({k, m}, rng));
+    const core::Tensor g = core::Tensor::randn({n, m}, rng);
+    const float* gd = g.data();
+
+    std::vector<float> fused(static_cast<std::size_t>(k * m));
+    std::vector<float> legacy(static_cast<std::size_t>(k * m), 0.0f);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      for (std::int64_t j = 0; j < m; ++j) {
+        float acc = 0.0f;
+        for (std::int64_t i = 0; i < n; ++i)
+          acc = std::fmaf(av[i * k + kk], gd[i * m + j], acc);
+        fused[kk * m + j] = acc;
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float x = av[i * k + kk];
+        if (x == 0.0f) continue;
+        for (std::int64_t j = 0; j < m; ++j)
+          legacy[kk * m + j] += x * gd[i * m + j];
+      }
+    }
+
+    for (const bk::Backend backend : supported_backends()) {
+      bk::set_backend(backend);
+      const auto grads = matsci::testing::grads_under(
+          core::matmul, av, {n, k}, wv, {k, m}, g);
+      const bool scalar = backend == bk::Backend::kScalar;
+      EXPECT_TRUE(bit_identical(scalar ? legacy : fused, grads.b))
+          << bk::backend_name(backend) << " k=" << k;
+    }
+  }
+}
+
+TEST(BackendGemm, InputGradMatchesLegacyNtLoop) {
+  // dA = dC * W^T runs on matmul_nn over the transposed weight. The
+  // scalar tier must reproduce the legacy dA loop bit for bit: j outer
+  // with the zero-skip on dC (-0 skips too), kk inner. SIMD tiers form
+  // one fused chain per element and agree to tolerance.
+  BackendGuard guard;
+  core::RngEngine rng(79);
+  const std::int64_t n = 29, k = 37, m = 21;
+  const std::vector<float> av = tensor_bits(core::Tensor::randn({n, k}, rng));
+  const std::vector<float> wv = tensor_bits(core::Tensor::randn({k, m}, rng));
+  core::Tensor g = core::Tensor::randn({n, m}, rng);
+  float* gd = g.data();
+  gd[0] = 0.0f;
+  gd[5] = -0.0f;
+  gd[m + 3] = -0.0f;
+  for (std::int64_t j = 0; j < m; ++j) gd[3 * m + j] = (j % 2) ? 0.0f : -0.0f;
+
+  std::vector<float> legacy(static_cast<std::size_t>(n * k), 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < m; ++j) {
+      const float gv = gd[i * m + j];
+      if (gv == 0.0f) continue;
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        legacy[i * k + kk] += gv * wv[kk * m + j];
+    }
+  }
+
+  for (const bk::Backend backend : supported_backends()) {
+    bk::set_backend(backend);
+    const auto grads = matsci::testing::grads_under(
+        core::matmul, av, {n, k}, wv, {k, m}, g);
+    if (backend == bk::Backend::kScalar) {
+      EXPECT_TRUE(bit_identical(legacy, grads.a));
+    } else {
+      expect_close(legacy, grads.a, 2e-5f, bk::backend_name(backend));
+    }
+  }
+}
+
 TEST(BackendScalar, TranscendentalsUseLibm) {
   BackendGuard guard;
   bk::set_backend(bk::Backend::kScalar);
@@ -250,8 +367,8 @@ TEST(BackendAgreement, ReassociatingKernelsAgreeToTolerance) {
 }
 
 TEST(BackendAgreement, GradientsAgreeToToleranceAcrossBackends) {
-  // One composite touching matmul_nn/nt/tn, unary_grad, binary_grad and
-  // the reduction backward.
+  // One composite touching matmul_nn/tn (forward, dA, dW), unary_grad,
+  // binary_grad and the reduction backward.
   BackendGuard guard;
   core::RngEngine rng(75);
   const std::vector<float> xv = tensor_bits(core::Tensor::randn({21, 33}, rng));

@@ -25,6 +25,7 @@
 #include "graph/radius_graph.hpp"
 #include "models/egnn.hpp"
 #include "sym/synthetic_dataset.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -239,6 +240,21 @@ TEST(ParallelDeterminism, RadiusGraphEdgesAreThreadCountInvariant) {
   }
 }
 
+/// Every compiled-and-supported backend, with the active one restored
+/// on scope exit.
+struct EachBackend {
+  core::backend::Backend saved = core::backend::active_backend();
+  ~EachBackend() { core::backend::set_backend(saved); }
+  std::vector<core::backend::Backend> list() const {
+    std::vector<core::backend::Backend> out;
+    for (int i = 0; i < core::backend::kNumBackends; ++i) {
+      const auto b = static_cast<core::backend::Backend>(i);
+      if (core::backend::backend_supported(b)) out.push_back(b);
+    }
+    return out;
+  }
+};
+
 TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
   // The thread-count contract holds per backend, not just for the
   // default table: chunk layout depends only on shape and grain, and
@@ -247,10 +263,7 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
   // chunk-dependent accumulation first) under each compiled-and-
   // supported tier.
   namespace bk = core::backend;
-  struct BackendGuard {
-    bk::Backend saved = bk::active_backend();
-    ~BackendGuard() { bk::set_backend(saved); }
-  } backend_guard;
+  EachBackend backends;
 
   core::RngEngine rng(16);
   core::Tensor a = core::Tensor::randn({160, 96}, rng);
@@ -258,9 +271,7 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
   core::Tensor x = core::Tensor::randn({8192, 64}, rng);
   core::Tensor logits = core::Tensor::randn({2048, 33}, rng);
 
-  for (int i = 0; i < bk::kNumBackends; ++i) {
-    const auto backend = static_cast<bk::Backend>(i);
-    if (!bk::backend_supported(backend)) continue;
+  for (const bk::Backend backend : backends.list()) {
     bk::set_backend(backend);
     const std::string tag = std::string("backend ") + bk::backend_name(backend);
     expect_invariant_across_threads(
@@ -281,6 +292,107 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
           return tensor_bits(core::softmax_rows(logits));
         },
         (tag + " softmax_rows").c_str());
+  }
+}
+
+TEST(ParallelDeterminism, MatmulGradsAreThreadCountInvariantUnderEveryBackend) {
+  // The first EGNN edge layer's shape. dW chunks hold whole 4-row kk
+  // groups and dA runs matmul_nn on W^T; neither may depend on how many
+  // threads share the chunks.
+  namespace bk = core::backend;
+  EachBackend backends;
+  PoolSizeGuard pool;
+  core::RngEngine rng(17);
+  const std::int64_t n = 2000, k = 65, m = 32;
+  const std::vector<float> av = tensor_bits(core::Tensor::randn({n, k}, rng));
+  const std::vector<float> wv = tensor_bits(core::Tensor::randn({k, m}, rng));
+  const core::Tensor g = core::Tensor::randn({n, m}, rng);
+  const auto grads = [&] {
+    return matsci::testing::grads_under(
+        core::matmul, av, {n, k}, wv, {k, m}, g);
+  };
+  for (const bk::Backend backend : backends.list()) {
+    bk::set_backend(backend);
+    par::set_num_threads(1);
+    const matsci::testing::PairGrads reference = grads();
+    for (const std::int64_t threads : {2, 4}) {
+      par::set_num_threads(threads);
+      const matsci::testing::PairGrads got = grads();
+      EXPECT_TRUE(bit_identical(reference.a, got.a))
+          << bk::backend_name(backend) << " dA at " << threads << " threads";
+      EXPECT_TRUE(bit_identical(reference.b, got.b))
+          << bk::backend_name(backend) << " dW at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDeterminism, BroadcastGradientsMatchSerialReference) {
+  // A broadcast operand's gradient sums per-element terms
+  // g * d(op)/db: kRow adds whole rows, kCol reduces each row in
+  // parallel. Each output still sums its terms in ascending order from
+  // zero, as the serial loop did, so every tier and thread count gives
+  // the reference bits.
+  namespace bk = core::backend;
+  EachBackend backends;
+  PoolSizeGuard pool;
+  core::RngEngine rng(18);
+  const std::int64_t n = 4000, d = 37;
+  const std::vector<float> av = tensor_bits(core::Tensor::randn({n, d}, rng));
+  const core::Tensor g = core::Tensor::randn({n, d}, rng);
+  const float* gd = g.data();
+  // Kept away from zero so div's terms stay well scaled.
+  const auto away_from_zero = [&](std::int64_t count) {
+    std::vector<float> v = tensor_bits(core::Tensor::randn({count}, rng));
+    for (float& x : v) x = x < 0.0f ? x - 0.5f : x + 0.5f;
+    return v;
+  };
+  const std::vector<float> row = away_from_zero(d);
+  const std::vector<float> col = away_from_zero(n);
+
+  struct Op {
+    const char* name;
+    core::Tensor (*fn)(const core::Tensor&, const core::Tensor&);
+    float (*dfa)(float, float);
+    float (*dfb)(float, float);
+  };
+  const Op ops[] = {
+      {"add", core::add, [](float, float) { return 1.0f; },
+       [](float, float) { return 1.0f; }},
+      {"sub", core::sub, [](float, float) { return 1.0f; },
+       [](float, float) { return -1.0f; }},
+      {"mul", core::mul, [](float, float y) { return y; },
+       [](float x, float) { return x; }},
+      {"div", core::div, [](float, float y) { return 1.0f / y; },
+       [](float x, float y) { return -x / (y * y); }},
+  };
+  for (const Op& op : ops) {
+    for (const bool by_row : {true, false}) {
+      const std::vector<float>& bv = by_row ? row : col;
+      const auto bat = [&](std::int64_t i) {
+        return by_row ? bv[i % d] : bv[i / d];
+      };
+      std::vector<float> ga(static_cast<std::size_t>(n * d));
+      std::vector<float> gb(bv.size(), 0.0f);
+      for (std::int64_t i = 0; i < n * d; ++i) {
+        ga[i] = gd[i] * op.dfa(av[i], bat(i));
+        gb[by_row ? i % d : i / d] += gd[i] * op.dfb(av[i], bat(i));
+      }
+      const core::Shape bshape = by_row ? core::Shape{d} : core::Shape{n, 1};
+      for (const bk::Backend backend : backends.list()) {
+        bk::set_backend(backend);
+        for (const std::int64_t threads : {1, 4}) {
+          par::set_num_threads(threads);
+          const matsci::testing::PairGrads got =
+              matsci::testing::grads_under(op.fn, av, {n, d}, bv, bshape, g);
+          EXPECT_TRUE(bit_identical(ga, got.a))
+              << op.name << (by_row ? " row" : " col") << " da, "
+              << bk::backend_name(backend) << ", " << threads << " threads";
+          EXPECT_TRUE(bit_identical(gb, got.b))
+              << op.name << (by_row ? " row" : " col") << " db, "
+              << bk::backend_name(backend) << ", " << threads << " threads";
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "core/ops.hpp"
 #include "core/tensor.hpp"
@@ -47,6 +48,27 @@ inline void gradcheck(
           << "input " << ti << " coordinate " << i;
     }
   }
+}
+
+/// Gradients of L = sum(op(a, b) * g) with respect to a and b. The
+/// upstream gradient reaching op is exactly g (1.0f * g), so a test can
+/// inject any dL/d(out), zeros and -0 included.
+struct PairGrads {
+  std::vector<float> a, b;
+};
+inline PairGrads grads_under(
+    core::Tensor (*op)(const core::Tensor&, const core::Tensor&),
+    const std::vector<float>& av, core::Shape ashape,
+    const std::vector<float>& bv, core::Shape bshape, const core::Tensor& g) {
+  core::Tensor a = core::Tensor::from_vector(av, std::move(ashape));
+  core::Tensor b = core::Tensor::from_vector(bv, std::move(bshape));
+  a.set_requires_grad(true);
+  b.set_requires_grad(true);
+  core::sum(core::mul(op(a, b), g)).backward();
+  const core::Tensor ga = a.grad();
+  const core::Tensor gb = b.grad();
+  return {std::vector<float>(ga.data(), ga.data() + ga.numel()),
+          std::vector<float>(gb.data(), gb.data() + gb.numel())};
 }
 
 /// Max absolute difference between two same-sized tensors.
