@@ -180,6 +180,7 @@ int main() {
   std::printf("%8s %8s %16s %18s %14s\n", "ranks", "nodes", "samples/s",
               "epoch time (s)", "efficiency");
   const double t1 = model.throughput(1, kBatchPerRank, compute_per_step, 0);
+  double efficiency_512 = 0.0;
   for (const std::int64_t ranks : {16, 32, 64, 128, 256, 512}) {
     const double tput =
         model.throughput(ranks, kBatchPerRank, compute_per_step, grad_bytes);
@@ -190,6 +191,7 @@ int main() {
                 static_cast<long long>(ranks),
                 static_cast<long long>((ranks + 15) / 16), tput, epoch,
                 100.0 * tput / (static_cast<double>(ranks) * t1));
+    efficiency_512 = tput / (static_cast<double>(ranks) * t1);
     reporter.add(obs::JsonRecord()
                      .set("record", "modeled_scaleout")
                      .set("ranks", ranks)
@@ -199,11 +201,14 @@ int main() {
                      .set("efficiency",
                           tput / (static_cast<double>(ranks) * t1)));
   }
+  // The allreduce model is fixed, so a faster single-rank step lowers
+  // the modeled efficiency: report it rather than assume a figure.
   std::printf(
-      "\nShape check vs paper: throughput grows linearly in worker count\n"
-      "(efficiency stays >90%%), and epoch time falls to minutes — the\n"
-      "communication overhead of per-step gradient averaging is\n"
-      "negligible against per-rank compute.\n");
+      "\nShape check vs paper: throughput grows near-linearly in worker\n"
+      "count (%.1f%% efficiency at 512 ranks), and epoch time falls to\n"
+      "minutes — the communication overhead of per-step gradient\n"
+      "averaging stays small against per-rank compute.\n",
+      100.0 * efficiency_512);
 
   // --- Part 4: overlapped + compressed DDP (comm/coll) ----------------
   // Band-gap regression at world=2 per compressor: the bucketed engine

@@ -5,9 +5,10 @@
 // are visible independent of end-to-end training noise.
 //
 // The custom main() additionally sweeps {scalar, best-SIMD} kernel
-// backends x {1, 2, 4, max} pool threads on the large matmul, the
-// edge-layer matmul forward + backward, and the elementwise /
-// reduction / segment_sum / gather shapes and emits one
+// backends x {1, 2, 4, max} pool threads on the large matmul, a tall
+// 65-wide matmul forward + backward, the fused EGNN edge layer forward
+// + backward, and the elementwise / reduction / segment_sum / gather
+// shapes and emits one
 // JSON line per (kernel, backend, threads) point through the shared
 // bench reporter (bench_common.hpp). Each line carries
 // `speedup_vs_1t` (thread scaling within a backend) and
@@ -235,8 +236,9 @@ double sweep_matmul(std::int64_t n) {
 }
 
 double sweep_matmul_bwd(std::int64_t n) {
-  // The first EGNN edge layer of a pretraining step, [n,65]·[65,32]:
-  // the forward plus the backward to both operands (dA and dW).
+  // A tall product with a 65-wide inner dimension, [n,65]·[65,32], the
+  // GEMM reference beside edge_linear: the forward plus the backward to
+  // both operands (dA and dW).
   core::RngEngine rng(46);
   core::Tensor a = core::Tensor::randn({n, 65}, rng);
   core::Tensor w = core::Tensor::randn({65, 32}, rng);
@@ -247,6 +249,29 @@ double sweep_matmul_bwd(std::int64_t n) {
         a.zero_grad();
         w.zero_grad();
         core::sum(core::matmul(a, w)).backward();
+      },
+      5);
+}
+
+double sweep_edge_linear(std::int64_t edges) {
+  // The first EGNN edge layer of a pretraining step as the fused op:
+  // 640 nodes of width 32, `edges` edges, weight [65,32]; the forward
+  // plus the backward to h, d2, the weight and the bias.
+  const std::int64_t n = 640, h = 32;
+  core::RngEngine rng(47);
+  core::Tensor x = core::Tensor::randn({n, h}, rng);
+  core::Tensor d2 = core::Tensor::rand_uniform({edges, 1}, rng, 0.0f, 4.0f);
+  core::Tensor w = core::Tensor::randn({2 * h + 1, h}, rng, 0.0f, 0.2f);
+  core::Tensor b = core::Tensor::randn({h}, rng);
+  std::vector<std::int64_t> dst(static_cast<std::size_t>(edges));
+  std::vector<std::int64_t> src(static_cast<std::size_t>(edges));
+  for (auto& i : dst) i = rng.next_int(n);
+  for (auto& i : src) i = rng.next_int(n);
+  for (core::Tensor* t : {&x, &d2, &w, &b}) t->set_requires_grad(true);
+  return time_us_per_call(
+      [&] {
+        for (core::Tensor* t : {&x, &d2, &w, &b}) t->zero_grad();
+        core::sum(core::edge_concat_linear(x, d2, w, b, dst, src)).backward();
       },
       5);
 }
@@ -317,6 +342,7 @@ void run_thread_sweep(obs::BenchReporter& reporter) {
   const SweepKernel kernels[] = {
       {"matmul", 256, sweep_matmul},
       {"matmul_bwd", 9216, sweep_matmul_bwd},
+      {"edge_linear", 9216, sweep_edge_linear},
       {"elementwise", 1 << 20, sweep_elementwise},
       {"reduce_sum", 1 << 20, sweep_reduce},
       {"segment_sum", 8192, sweep_segment_sum},

@@ -38,10 +38,13 @@
 #             8-lane GEMM panels and masked column tails are code of
 #             their own. Skipped, with a message, on a CPU without
 #             AVX2 and FMA.
+#   warnings  a clean Release build (fresh build-warnings/ tree, all
+#             targets) that fails on any `warning:` line in its log, so
+#             a new warning cannot hide among the old ones.
 #
-# Usage: ci_matrix.sh [tsan|asan|scalar|avx2|all]   (default: all)
-# Build trees land in build-tsan/, build-asan/, and build-scalar/ at the
-# repo root.
+# Usage: ci_matrix.sh [tsan|asan|scalar|avx2|warnings|all]   (default: all)
+# Build trees land in build-tsan/, build-asan/, build-scalar/ and
+# build-warnings/ at the repo root.
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -93,19 +96,38 @@ run_avx2() {
     --output-on-failure -j "$jobs"
 }
 
+run_warnings() {
+  echo "=== ci_matrix: warnings (clean Release build, no warning lines) ==="
+  rm -rf "$repo_root/build-warnings"
+  cmake -B "$repo_root/build-warnings" -S "$repo_root" \
+    -DCMAKE_BUILD_TYPE=Release
+  local log="$repo_root/build-warnings/build.log"
+  cmake --build "$repo_root/build-warnings" -j "$jobs" 2>&1 | tee "$log"
+  [ "${PIPESTATUS[0]}" -eq 0 ] || return 1
+  local count
+  count=$(grep -c "warning:" "$log" || true)
+  if [ "$count" -ne 0 ]; then
+    echo "ci_matrix: $count warning line(s) in the Release build:" >&2
+    grep "warning:" "$log" >&2
+    return 1
+  fi
+}
+
 case "$stage" in
   tsan) run_tsan ;;
   asan) run_asan ;;
   scalar) run_scalar ;;
   avx2) run_avx2 ;;
+  warnings) run_warnings ;;
   all)
     run_tsan
     run_asan
     run_scalar
     run_avx2
+    run_warnings
     ;;
   *)
-    echo "ci_matrix: unknown stage '$stage' (tsan|asan|scalar|avx2|all)" >&2
+    echo "ci_matrix: unknown stage '$stage' (tsan|asan|scalar|avx2|warnings|all)" >&2
     exit 2
     ;;
 esac

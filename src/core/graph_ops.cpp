@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/autograd.hpp"
 #include "core/backend/backend.hpp"
@@ -17,14 +18,8 @@ namespace matsci::core {
 namespace {
 
 using memory::FloatStorage;
-
-constexpr std::int64_t kRowGrainWork = 1 << 16;  // scalars per row-chunk
-
-/// Rows per chunk targeting ~kRowGrainWork scalars of work.
-std::int64_t rows_grain(std::int64_t per_row) {
-  return std::max<std::int64_t>(1,
-                                kRowGrainWork / std::max<std::int64_t>(1, per_row));
-}
+using parallel::gemm_grain;
+using parallel::rows_grain;
 
 void check_segments(const std::vector<std::int64_t>& segment,
                     std::int64_t num_rows, std::int64_t num_segments,
@@ -137,7 +132,7 @@ Tensor gather_rows(const Tensor& x, const std::vector<std::int64_t>& index) {
         if (!ix->needs_grad()) return;
         FloatStorage gx = FloatStorage::zeros(static_cast<std::size_t>(n * d));
         scatter_add_kernel(o.grad.data(), m, d, index, n, gx.data());
-        ix->accumulate_grad(gx.data());
+        ix->accumulate_grad(std::move(gx));
       });
 }
 
@@ -175,7 +170,148 @@ Tensor scatter_add_rows(const Tensor& x,
             0, m, rows_grain(d), [&](std::int64_t rb, std::int64_t re) {
               kt.gather_rows(go, index.data(), gx.data(), rb, re, d);
             });
-        ix->accumulate_grad(gx.data());
+        ix->accumulate_grad(std::move(gx));
+      });
+}
+
+Tensor edge_concat_linear(const Tensor& h, const Tensor& d2, const Tensor& w,
+                          const Tensor& b,
+                          const std::vector<std::int64_t>& dst,
+                          const std::vector<std::int64_t>& src) {
+  MATSCI_TRACE_SCOPE("core/edge_concat_linear");
+  MATSCI_CHECK(h.defined() && h.dim() == 2 && d2.defined() && w.defined() &&
+                   w.dim() == 2 && b.defined(),
+               "edge_concat_linear: undefined or non-2-D operand");
+  const std::int64_t n = h.size(0), d = h.size(1), m = w.size(1);
+  const std::int64_t e = static_cast<std::int64_t>(dst.size());
+  MATSCI_CHECK(w.size(0) == 2 * d + 1 && b.numel() == m,
+               "edge_concat_linear: weight " << shape_to_string(w.shape())
+                                             << " and bias "
+                                             << shape_to_string(b.shape())
+                                             << " do not fit width " << d);
+  MATSCI_CHECK(d2.dim() == 2 && d2.size(0) == e && d2.size(1) == 1,
+               "edge_concat_linear: d2 " << shape_to_string(d2.shape())
+                                         << " for " << e << " edges");
+  check_segments(dst, e, n, "edge_concat_linear");
+  check_segments(src, e, n, "edge_concat_linear");
+
+  // P_i and P_j on the node rows, against row blocks of w read in place.
+  const backend::KernelTable& kt = backend::kernels();
+  const float* ph = h.data();
+  const float* pw = w.data();
+  FloatStorage p =
+      FloatStorage::uninitialized(static_cast<std::size_t>(2 * n * m));
+  parallel::parallel_for(
+      0, n, gemm_grain(4 * d * m), [&](std::int64_t ib, std::int64_t ie) {
+        kt.matmul_nn(ph, pw, p.data(), ib, ie, d, m);
+        kt.matmul_nn(ph, pw + d * m, p.data() + n * m, ib, ie, d, m);
+      });
+  const float* pd2 = d2.data();
+  const float* wd = pw + 2 * d * m;
+  const float* pb = b.data();
+  FloatStorage out =
+      FloatStorage::uninitialized(static_cast<std::size_t>(e * m));
+  parallel::parallel_for(
+      0, e, rows_grain(m), [&](std::int64_t rb, std::int64_t re) {
+        for (std::int64_t r = rb; r < re; ++r) {
+          const float* pi = p.data() + dst[static_cast<std::size_t>(r)] * m;
+          const float* pj =
+              p.data() + (n + src[static_cast<std::size_t>(r)]) * m;
+          const float dr = pd2[r];
+          float* o = out.data() + r * m;
+          for (std::int64_t j = 0; j < m; ++j)
+            o[j] = ((pi[j] + pj[j]) + dr * wd[j]) + pb[j];
+        }
+      });
+
+  auto ih = h.impl();
+  auto id2 = d2.impl();
+  auto iw = w.impl();
+  auto ibias = b.impl();
+  // Build no closure (and copy no edge list) when no tape is recorded.
+  if (!grad_mode_enabled() || !(ih->needs_grad() || id2->needs_grad() ||
+                                iw->needs_grad() || ibias->needs_grad())) {
+    return Tensor::from_storage(std::move(out), {e, m});
+  }
+  return make_op_result(
+      {e, m}, std::move(out), "edge_concat_linear", {ih, id2, iw, ibias},
+      [ih, id2, iw, ibias, dst, src, n, d, m, e](TensorImpl& o) {
+        const backend::KernelTable& kt2 = backend::kernels();
+        const float* go = o.grad.data();
+        const float* ph2 = ih->data.data();
+        const float* pw2 = iw->data.data();
+        // dP_i and dP_j: each node sums its edges' rows in ascending order.
+        FloatStorage dp;
+        if (ih->needs_grad() || iw->needs_grad()) {
+          dp = FloatStorage::zeros(static_cast<std::size_t>(2 * n * m));
+          scatter_add_kernel(go, e, m, dst, n, dp.data());
+          scatter_add_kernel(go, e, m, src, n, dp.data() + n * m);
+        }
+        if (iw->needs_grad()) {
+          // Rows [0, 2D): hᵀ·dP_i over W_i's rows, hᵀ·dP_j over W_j's.
+          FloatStorage gw = FloatStorage::uninitialized(
+              static_cast<std::size_t>((2 * d + 1) * m));
+          parallel::parallel_for(
+              0, 2 * d, gemm_grain(2 * n * m),
+              [&](std::int64_t kb, std::int64_t ke) {
+                if (kb < d) {
+                  kt2.matmul_tn(ph2, dp.data(), gw.data(), kb, std::min(ke, d),
+                                n, d, m);
+                }
+                if (ke > d) {
+                  kt2.matmul_tn(ph2, dp.data() + n * m, gw.data() + d * m,
+                                std::max(kb, d) - d, ke - d, n, d, m);
+                }
+              });
+          // Row 2D: Σ_e d2[e]·dOut[e], ascending e.
+          kt2.matmul_tn(id2->data.data(), go, gw.data() + 2 * d * m, 0, 1, e,
+                        1, m);
+          iw->accumulate_grad(std::move(gw));
+        }
+        if (ibias->needs_grad()) {
+          // As a Linear bias: whole edge rows added in ascending order.
+          FloatStorage gb = FloatStorage::zeros(static_cast<std::size_t>(m));
+          for (std::int64_t r = 0; r < e; ++r)
+            kt2.add_rows(gb.data(), go + r * m, m);
+          ibias->accumulate_grad(std::move(gb));
+        }
+        if (id2->needs_grad()) {
+          // dd2[e] = Σ_j dOut[e, j]·w_d[j]: dOut times the [M, 1] column
+          // w_d on the GEMM kernel, ascending j per edge.
+          FloatStorage gd =
+              FloatStorage::uninitialized(static_cast<std::size_t>(e));
+          parallel::parallel_for(
+              0, e, gemm_grain(2 * m), [&](std::int64_t rb, std::int64_t re) {
+                kt2.matmul_nn(go, pw2 + 2 * d * m, gd.data(), rb, re, m, 1);
+              });
+          id2->accumulate_grad(std::move(gd));
+        }
+        if (ih->needs_grad()) {
+          // dh = dP_i·W_iᵀ + dP_j·W_jᵀ on the forward kernel, with both
+          // [M, D] blocks transposed once.
+          FloatStorage wt =
+              FloatStorage::uninitialized(static_cast<std::size_t>(2 * m * d));
+          for (std::int64_t kk = 0; kk < 2 * d; ++kk) {
+            const std::int64_t blk = kk / d, c = kk % d;
+            for (std::int64_t j = 0; j < m; ++j)
+              wt[static_cast<std::size_t>(blk * m * d + j * d + c)] =
+                  pw2[kk * m + j];
+          }
+          FloatStorage gh =
+              FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
+          FloatStorage gh_j =
+              FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
+          parallel::parallel_for(
+              0, n, gemm_grain(4 * m * d),
+              [&](std::int64_t ib, std::int64_t ie) {
+                kt2.matmul_nn(dp.data(), wt.data(), gh.data(), ib, ie, m, d);
+                kt2.matmul_nn(dp.data() + n * m, wt.data() + m * d, gh_j.data(),
+                              ib, ie, m, d);
+                kt2.add_rows(gh.data() + ib * d, gh_j.data() + ib * d,
+                             (ie - ib) * d);
+              });
+          ih->accumulate_grad(std::move(gh));
+        }
       });
 }
 
@@ -202,7 +338,7 @@ Tensor segment_sum(const Tensor& x, const std::vector<std::int64_t>& segment,
             0, n, rows_grain(d), [&](std::int64_t rb, std::int64_t re) {
               kt.gather_rows(go, segment.data(), gx.data(), rb, re, d);
             });
-        ix->accumulate_grad(gx.data());
+        ix->accumulate_grad(std::move(gx));
       });
 }
 
@@ -266,7 +402,7 @@ Tensor segment_max(const Tensor& x, const std::vector<std::int64_t>& segment,
                static_cast<std::int64_t>(i) % d] += go[i];
           }
         }
-        ix->accumulate_grad(gx.data());
+        ix->accumulate_grad(std::move(gx));
       });
 }
 
@@ -334,7 +470,7 @@ Tensor segment_softmax(const Tensor& x,
               kt.seg_softmax_grad(probs.data(), go, segment.data(), dot.data(),
                                   gx.data(), rb, re);
             });
-        ix->accumulate_grad(gx.data());
+        ix->accumulate_grad(std::move(gx));
       });
 }
 
@@ -379,7 +515,7 @@ Tensor gaussian_rbf(const Tensor& d, const std::vector<float>& centers,
                 gd[static_cast<std::size_t>(r)] = static_cast<float>(acc);
               }
             });
-        id->accumulate_grad(gd.data());
+        id->accumulate_grad(std::move(gd));
       });
 }
 

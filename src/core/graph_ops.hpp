@@ -24,6 +24,22 @@ Tensor scatter_add_rows(const Tensor& x,
                         const std::vector<std::int64_t>& index,
                         std::int64_t num_rows);
 
+/// concat_cols({h[dst], h[src], d2}) · w + b without forming the
+/// concat: an EGNN edge MLP's first layer, run on node rows. h is
+/// [N, D], d2 is [E, 1], w is [2D+1, M] with row blocks W_i = w[0, D),
+/// W_j = w[D, 2D) and w_d = w[2D], b holds M values, and dst/src hold E
+/// node ids. P_i = h·W_i and P_j = h·W_j are N-row GEMMs; then
+///   out[e] = ((P_i[dst[e]] + P_j[src[e]]) + d2[e]·w_d) + b,
+/// one IEEE mul or add per step in that order. Row e depends only on its
+/// two endpoint rows, and every output and gradient is bit-identical at
+/// any thread count. The concat form sums the 2D+1 products in one
+/// chain, so the two agree to reassociation tolerance. Differentiable in
+/// h, d2, w and b; terms for inputs that need no gradient are skipped.
+Tensor edge_concat_linear(const Tensor& h, const Tensor& d2, const Tensor& w,
+                          const Tensor& b,
+                          const std::vector<std::int64_t>& dst,
+                          const std::vector<std::int64_t>& src);
+
 /// out[s, :] = sum over rows r with segment[r] == s of x[r, :].
 /// `segment` need not be sorted. num_segments > max(segment).
 Tensor segment_sum(const Tensor& x, const std::vector<std::int64_t>& segment,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/autograd.hpp"
 #include "core/backend/backend.hpp"
@@ -19,26 +20,17 @@ using backend::BinaryOp;
 using backend::UnaryOp;
 using memory::FloatStorage;
 
+using parallel::gemm_grain;
+using parallel::rows_grain;
+
 // Fixed work-per-chunk targets (in scalar operations). Chunk layout
 // depends only on tensor shape, so every kernel is bit-exact across
 // thread counts within a backend; problems below one grain collapse to
 // a single chunk and execute exactly like the previous serial code.
-constexpr std::int64_t kElemGrain = 1 << 15;        // elementwise loops
-constexpr std::int64_t kRowGrainWork = 1 << 16;     // row-sliced loops
-constexpr std::int64_t kMatmulGrainWork = 1 << 18;  // flops per matmul chunk
-constexpr std::int64_t kReduceGrain = 1 << 16;      // scalar reductions
-
-/// Rows per chunk so that each chunk holds ~`work_target` scalar ops.
-std::int64_t rows_grain(std::int64_t work_target, std::int64_t per_row) {
-  return std::max<std::int64_t>(
-      1, work_target / std::max<std::int64_t>(1, per_row));
-}
-
-/// Matmul rows per chunk: whole groups of 4 rows, the SIMD kernels'
-/// register block, so no chunk boundary splits one.
-std::int64_t gemm_grain(std::int64_t per_row) {
-  return (rows_grain(kMatmulGrainWork, per_row) + 3) / 4 * 4;
-}
+// Row-sliced and GEMM grains are shared with graph_ops.cpp
+// (core/parallel/parallel_for.hpp).
+constexpr std::int64_t kElemGrain = 1 << 15;    // elementwise loops
+constexpr std::int64_t kReduceGrain = 1 << 16;  // scalar reductions
 
 struct BcastInfo {
   Bcast kind;
@@ -111,7 +103,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
                   kt2.binary_grad_a(op, info.kind, go, pa2, pb2, ga.data(),
                                     bb, e, d);
                 });
-            ia->accumulate_grad(ga.data());
+            ia->accumulate_grad(std::move(ga));
           }
         }
         if (!ib->needs_grad()) return;
@@ -131,7 +123,11 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
         // legacy-exact and every tier thread-count invariant.
         switch (info.kind) {
           case Bcast::kSame:
-            ib->accumulate_grad(t);
+            if (op == BinaryOp::kAdd) {
+              ib->accumulate_grad(go);
+            } else {
+              ib->accumulate_grad(std::move(terms));
+            }
             break;
           case Bcast::kScalar: {
             float s = 0.0f;
@@ -143,14 +139,14 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
             FloatStorage gb = FloatStorage::zeros(static_cast<std::size_t>(d));
             for (std::int64_t r = 0; r < info.rows; ++r)
               kt2.add_rows(gb.data(), t + r * d, d);
-            ib->accumulate_grad(gb.data());
+            ib->accumulate_grad(std::move(gb));
             break;
           }
           case Bcast::kCol: {
             FloatStorage gb = FloatStorage::uninitialized(
                 static_cast<std::size_t>(info.rows));
             parallel::parallel_for(
-                0, info.rows, rows_grain(kRowGrainWork, d),
+                0, info.rows, rows_grain(d),
                 [&](std::int64_t rb, std::int64_t re) {
                   for (std::int64_t r = rb; r < re; ++r) {
                     float s = 0.0f;
@@ -158,7 +154,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
                     gb[r] = s;
                   }
                 });
-            ib->accumulate_grad(gb.data());
+            ib->accumulate_grad(std::move(gb));
             break;
           }
         }
@@ -198,7 +194,7 @@ Tensor routed_unary(const Tensor& a, const char* name, UnaryOp op,
               kt2.unary_grad(op, pa2, saved.data(), go, ga.data(), bb, e,
                              arg0, arg1);
             });
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -231,7 +227,7 @@ Tensor unary_op(const Tensor& a, const char* name, F f, DF df) {
               for (std::int64_t i = b; i < e; ++i)
                 ga[i] = go[i] * df(pa2[i], saved[i]);
             });
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -375,7 +371,7 @@ Tensor sum(const Tensor& a) {
         if (!ia->needs_grad()) return;
         const float g = o.grad[0];
         FloatStorage ga = FloatStorage::full(static_cast<std::size_t>(n), g);
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -402,7 +398,7 @@ Tensor sum_dim(const Tensor& a, std::int64_t dim, bool keepdim) {
     // Column slices are independent outputs; each column accumulates
     // over rows in ascending order, exactly like the serial loop.
     parallel::parallel_for(
-        0, d, rows_grain(kRowGrainWork, n),
+        0, d, rows_grain(n),
         [&](std::int64_t jb, std::int64_t je) {
           for (std::int64_t i = 0; i < n; ++i)
             kt.add_rows(out.data() + jb, pa + i * d + jb, je - jb);
@@ -411,7 +407,7 @@ Tensor sum_dim(const Tensor& a, std::int64_t dim, bool keepdim) {
   } else {
     out = FloatStorage::uninitialized(static_cast<std::size_t>(n));
     parallel::parallel_for(
-        0, n, rows_grain(kRowGrainWork, d),
+        0, n, rows_grain(d),
         [&](std::int64_t ib, std::int64_t ie) {
           kt.row_sums(pa, out.data(), ib, ie, d);
         });
@@ -427,13 +423,13 @@ Tensor sum_dim(const Tensor& a, std::int64_t dim, bool keepdim) {
         FloatStorage ga =
             FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
         parallel::parallel_for(
-            0, n, rows_grain(kRowGrainWork, d),
+            0, n, rows_grain(d),
             [&](std::int64_t ib, std::int64_t ie) {
               for (std::int64_t i = ib; i < ie; ++i)
                 for (std::int64_t j = 0; j < d; ++j)
                   ga[i * d + j] = go[dim == 0 ? j : i];
             });
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -490,7 +486,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
               [&](std::int64_t ib2, std::int64_t ie) {
                 kt2.matmul_nn(go, bt.data(), ga.data(), ib2, ie, m, k);
               });
-          ia->accumulate_grad(ga.data());
+          ia->accumulate_grad(std::move(ga));
         }
         if (ib->needs_grad()) {
           // dB = A^T * dC — sliced over kk so each gb row accumulates
@@ -503,7 +499,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
               [&](std::int64_t kb, std::int64_t ke) {
                 kt2.matmul_tn(pa2, go, gb.data(), kb, ke, n, k, m);
               });
-          ib->accumulate_grad(gb.data());
+          ib->accumulate_grad(std::move(gb));
         }
       });
 }
@@ -515,7 +511,7 @@ Tensor transpose2d(const Tensor& a) {
   FloatStorage out =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
   parallel::parallel_for(
-      0, n, rows_grain(kRowGrainWork, d),
+      0, n, rows_grain(d),
       [&](std::int64_t ib, std::int64_t ie) {
         for (std::int64_t i = ib; i < ie; ++i)
           for (std::int64_t j = 0; j < d; ++j) out[j * n + i] = pa[i * d + j];
@@ -529,7 +525,7 @@ Tensor transpose2d(const Tensor& a) {
             FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
         for (std::int64_t j = 0; j < d; ++j)
           for (std::int64_t i = 0; i < n; ++i) ga[i * d + j] = go[j * n + i];
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -566,7 +562,7 @@ Tensor concat_cols(const std::vector<Tensor>& parts) {
     const std::int64_t d = p.size(1);
     const float* pp = p.data();
     parallel::parallel_for(
-        0, n, rows_grain(kRowGrainWork, d),
+        0, n, rows_grain(d),
         [&](std::int64_t ib, std::int64_t ie) {
           for (std::int64_t i = ib; i < ie; ++i)
             std::copy(pp + i * d, pp + (i + 1) * d,
@@ -593,13 +589,13 @@ Tensor concat_cols(const std::vector<Tensor>& parts) {
             FloatStorage g =
                 FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
             parallel::parallel_for(
-                0, n, rows_grain(kRowGrainWork, d),
+                0, n, rows_grain(d),
                 [&](std::int64_t ib, std::int64_t ie) {
                   for (std::int64_t i = ib; i < ie; ++i)
                     std::copy(go + i * total + off2,
                               go + i * total + off2 + d, g.data() + i * d);
                 });
-            inputs[pi]->accumulate_grad(g.data());
+            inputs[pi]->accumulate_grad(std::move(g));
           }
           off2 += d;
         }
@@ -654,7 +650,7 @@ Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len) {
   FloatStorage out =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * len));
   parallel::parallel_for(
-      0, n, rows_grain(kRowGrainWork, len),
+      0, n, rows_grain(len),
       [&](std::int64_t ib, std::int64_t ie) {
         for (std::int64_t i = ib; i < ie; ++i)
           std::copy(pa + i * d + start, pa + i * d + start + len,
@@ -670,7 +666,7 @@ Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len) {
         for (std::int64_t i = 0; i < n; ++i)
           std::copy(go + i * len, go + (i + 1) * len,
                     ga.data() + i * d + start);
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -691,7 +687,7 @@ Tensor slice_rows(const Tensor& a, std::int64_t start, std::int64_t len) {
         const float* go = o.grad.data();
         FloatStorage ga = FloatStorage::zeros(static_cast<std::size_t>(n * d));
         std::copy(go, go + len * d, ga.data() + start * d);
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -720,7 +716,7 @@ Tensor dropout(const Tensor& a, float p, bool training, RngEngine& rng) {
         FloatStorage ga =
             FloatStorage::uninitialized(static_cast<std::size_t>(n));
         for (std::int64_t i = 0; i < n; ++i) ga[i] = go[i] * mask[i];
-        ia->accumulate_grad(ga.data());
+        ia->accumulate_grad(std::move(ga));
       });
 }
 
@@ -735,7 +731,7 @@ Tensor softmax_rows(const Tensor& logits) {
   FloatStorage out =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
   parallel::parallel_for(
-      0, n, rows_grain(kRowGrainWork, 4 * c),
+      0, n, rows_grain(4 * c),
       [&](std::int64_t ib, std::int64_t ie) {
         kt.softmax_rows(pl, out.data(), ib, ie, c);
       });
@@ -750,7 +746,7 @@ Tensor softmax_rows(const Tensor& logits) {
         FloatStorage ga =
             FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
         parallel::parallel_for(
-            0, n, rows_grain(kRowGrainWork, 4 * c),
+            0, n, rows_grain(4 * c),
             [&](std::int64_t ib, std::int64_t ie) {
               for (std::int64_t i = ib; i < ie; ++i) {
                 double dot = 0.0;
@@ -761,7 +757,7 @@ Tensor softmax_rows(const Tensor& logits) {
                                   (go[i * c + j] - static_cast<float>(dot));
               }
             });
-        il->accumulate_grad(ga.data());
+        il->accumulate_grad(std::move(ga));
       });
 }
 
@@ -785,7 +781,7 @@ Tensor cross_entropy(const Tensor& logits,
   FloatStorage probs =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
   double loss = parallel::parallel_reduce(
-      0, n, rows_grain(kRowGrainWork, 4 * c), 0.0,
+      0, n, rows_grain(4 * c), 0.0,
       [&](std::int64_t ib, std::int64_t ie) {
         return kt.ce_loss_rows(pl, labels.data(), probs.data(), ib, ie, c);
       },
@@ -802,12 +798,12 @@ Tensor cross_entropy(const Tensor& logits,
         FloatStorage ga =
             FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
         parallel::parallel_for(
-            0, n, rows_grain(kRowGrainWork, c),
+            0, n, rows_grain(c),
             [&](std::int64_t ib, std::int64_t ie) {
               kt.ce_grad_rows(probs.data(), labels.data(), g, ga.data(), ib,
                               ie, c);
             });
-        il->accumulate_grad(ga.data());
+        il->accumulate_grad(std::move(ga));
       });
 }
 
@@ -842,7 +838,7 @@ Tensor bce_with_logits(const Tensor& logits, const Tensor& targets) {
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
                 kt.bce_grad(pz2, pt2, g, ga.data(), nullptr, ib, ie);
               });
-          il->accumulate_grad(ga.data());
+          il->accumulate_grad(std::move(ga));
         }
         if (it->needs_grad()) {
           FloatStorage gt =
@@ -851,7 +847,7 @@ Tensor bce_with_logits(const Tensor& logits, const Tensor& targets) {
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
                 kt.bce_grad(pz2, pt2, g, nullptr, gt.data(), ib, ie);
               });
-          it->accumulate_grad(gt.data());
+          it->accumulate_grad(std::move(gt));
         }
       });
 }
@@ -904,7 +900,7 @@ Tensor huber_loss(const Tensor& pred, const Tensor& target, float beta) {
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
                 kt.huber_grad(pp2, pt2, g, beta, ga.data(), ib, ie);
               });
-          ip->accumulate_grad(ga.data());
+          ip->accumulate_grad(std::move(ga));
         }
         if (it->needs_grad()) {
           FloatStorage gt =
@@ -913,7 +909,7 @@ Tensor huber_loss(const Tensor& pred, const Tensor& target, float beta) {
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
                 kt.huber_grad(pp2, pt2, -g, beta, gt.data(), ib, ie);
               });
-          it->accumulate_grad(gt.data());
+          it->accumulate_grad(std::move(gt));
         }
       });
 }

@@ -21,6 +21,27 @@ inline std::int64_t chunk_count(std::int64_t begin, std::int64_t end,
   return (n + g - 1) / g;
 }
 
+/// Row grains of the op library (core/ops.cpp, core/graph_ops.cpp):
+/// fixed work targets in scalar operations, so a chunk layout is a
+/// function of the shape only.
+inline constexpr std::int64_t kRowGrainWork = 1 << 16;     // row-sliced loops
+inline constexpr std::int64_t kMatmulGrainWork = 1 << 18;  // GEMM flops
+
+/// Rows per chunk so that each chunk holds ~kRowGrainWork scalar ops.
+inline std::int64_t rows_grain(std::int64_t per_row) {
+  return std::max<std::int64_t>(
+      1, kRowGrainWork / std::max<std::int64_t>(1, per_row));
+}
+
+/// GEMM rows per chunk: ~kMatmulGrainWork flops, in whole groups of 4
+/// rows (the SIMD kernels' register block), so no chunk boundary splits
+/// one.
+inline std::int64_t gemm_grain(std::int64_t per_row) {
+  const std::int64_t rows = std::max<std::int64_t>(
+      1, kMatmulGrainWork / std::max<std::int64_t>(1, per_row));
+  return (rows + 3) / 4 * 4;
+}
+
 /// Run fn(chunk_begin, chunk_end) over [begin, end) split into
 /// fixed-grain chunks. fn must write disjoint outputs per index; with
 /// that, results are identical to the serial loop for any thread

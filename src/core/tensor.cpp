@@ -57,9 +57,25 @@ void TensorImpl::ensure_grad() {
 }
 
 void TensorImpl::accumulate_grad(const float* g) {
-  ensure_grad();
+  if (grad.empty()) {
+    grad = memory::FloatStorage::uninitialized(data.size());
+    for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = g[i] + 0.0f;
+    return;
+  }
   backend::kernels().add_rows(grad.data(), g,
                               static_cast<std::int64_t>(data.size()));
+}
+
+void TensorImpl::accumulate_grad(memory::FloatStorage&& g) {
+  MATSCI_CHECK(g.size() == data.size(),
+               "accumulate_grad: " << g.size() << " values for "
+                                   << data.size());
+  if (!grad.empty()) {
+    accumulate_grad(g.data());
+    return;
+  }
+  for (float& v : g) v += 0.0f;
+  grad = std::move(g);
 }
 
 Tensor Tensor::empty(Shape shape) {

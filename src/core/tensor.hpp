@@ -35,8 +35,13 @@ struct TensorImpl {
   bool needs_grad() const { return requires_grad || grad_fn != nullptr; }
   /// Materialize a zero gradient buffer if absent.
   void ensure_grad();
-  /// grad += g (materializing first). `g` must have numel() entries.
+  /// grad += g. `g` must have numel() entries. The first write copies
+  /// g + 0.0f into a fresh buffer: the bits of 0 + g, with no zero-fill.
   void accumulate_grad(const float* g);
+  /// grad += g for a full-size scratch buffer. The first write adopts
+  /// `g` after g[i] += 0.0f in place (−0 becomes +0, as in 0 + g), so it
+  /// is bit-identical to the pointer overload without a copy.
+  void accumulate_grad(memory::FloatStorage&& g);
 };
 
 /// Dense, row-major, fp32 tensor with reverse-mode autodiff.

@@ -37,15 +37,16 @@ EGCL::NodeState EGCL::forward(const NodeState& in,
                "EGCL: state/topology node count mismatch");
   const std::int64_t n = g.num_nodes;
 
-  // Edge-wise gathers: i = dst (receiver), j = src (sender).
-  core::Tensor h_i = core::gather_rows(in.h, g.dst);
-  core::Tensor h_j = core::gather_rows(in.h, g.src);
+  // Edge-wise geometry: i = dst (receiver), j = src (sender).
   core::Tensor x_i = core::gather_rows(in.x, g.dst);
   core::Tensor x_j = core::gather_rows(in.x, g.src);
   core::Tensor diff = core::sub(x_i, x_j);           // [E, 3]
   core::Tensor d2 = core::row_sq_norm(diff);         // [E, 1]
 
-  core::Tensor m = edge_mlp_->forward(core::concat_cols({h_i, h_j, d2}));
+  // φ_e's first Linear on (h_i, h_j, d²), with its GEMMs on node rows.
+  const nn::Linear& first = edge_mlp_->layer(0);
+  core::Tensor m = edge_mlp_->forward_from_first(core::edge_concat_linear(
+      in.h, d2, first.weight(), first.bias(), g.dst, g.src));
 
   NodeState out;
   if (coord_mlp_ != nullptr) {

@@ -19,9 +19,13 @@ MLP::MLP(const std::vector<std::int64_t>& dims, Act act, core::RngEngine& rng,
 }
 
 core::Tensor MLP::forward(const core::Tensor& x) const {
-  core::Tensor h = x;
+  return forward_from_first(layers_.front()->forward(x));
+}
+
+core::Tensor MLP::forward_from_first(const core::Tensor& pre) const {
+  core::Tensor h = pre;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->forward(h);
+    if (i > 0) h = layers_[i]->forward(h);
     if (i + 1 < layers_.size() || activate_last_) {
       h = apply_activation(act_, h);
     }

@@ -19,9 +19,14 @@ class MLP : public Module {
       bool activate_last = false);
 
   core::Tensor forward(const core::Tensor& x) const;
+  /// forward() from layer 0's pre-activation on: for callers that
+  /// compute the first affine map themselves with a fused op
+  /// (core::edge_concat_linear) on layer(0)'s weight and bias.
+  core::Tensor forward_from_first(const core::Tensor& pre) const;
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
+  const Linear& layer(std::size_t i) const { return *layers_.at(i); }
 
  private:
   std::vector<std::shared_ptr<Linear>> layers_;

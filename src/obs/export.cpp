@@ -57,7 +57,9 @@ JsonRecord& JsonRecord::set(const std::string& key, std::int64_t value) {
 }
 
 JsonRecord& JsonRecord::set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  std::string quoted(1, '"');
+  quoted.append(json_escape(value)).push_back('"');
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 
@@ -76,7 +78,8 @@ std::string JsonRecord::str() const {
   std::string out = "{";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(fields_[i].first) + "\":" + fields_[i].second;
+    out.append(1, '"').append(json_escape(fields_[i].first)).append("\":");
+    out.append(fields_[i].second);
   }
   out += "}";
   return out;
@@ -720,8 +723,8 @@ std::vector<JsonRecord> snapshot_records(
     std::string arr = "[";
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (i > 0) arr += ",";
-      arr += "[" + std::to_string(points[i].first) + "," +
-             json_number(points[i].second) + "]";
+      arr.append(1, '[').append(std::to_string(points[i].first));
+      arr.append(1, ',').append(json_number(points[i].second)).append(1, ']');
     }
     arr += "]";
     records.push_back(JsonRecord()

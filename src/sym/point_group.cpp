@@ -1,6 +1,7 @@
 #include "sym/point_group.hpp"
 
 #include <mutex>
+#include <string>
 
 #include "core/macros.hpp"
 #include "sym/symop.hpp"
@@ -19,6 +20,14 @@ PointGroup make_group(std::string name,
                "point group " << g.name << " closed to " << g.ops.size()
                               << " ops, expected " << expected_order);
   return g;
+}
+
+/// Schoenflies name such as "C4v". Built with append: GCC 12 reports a
+/// false -Wrestrict inside libstdc++ for "C" + std::to_string(n).
+std::string schoenflies(char family, std::int64_t n, const char* suffix = "") {
+  std::string name(1, family);
+  name.append(std::to_string(n)).append(suffix);
+  return name;
 }
 
 std::vector<PointGroup> build_catalog() {
@@ -47,36 +56,36 @@ std::vector<PointGroup> build_catalog() {
 
   // Cyclic Cn.
   for (const std::int64_t n : {2, 3, 4, 6}) {
-    catalog.push_back(make_group("C" + std::to_string(n), {rotation_z(n)},
+    catalog.push_back(make_group(schoenflies('C', n), {rotation_z(n)},
                                  static_cast<std::size_t>(n)));
   }
   // Pyramidal Cnv.
   for (const std::int64_t n : {2, 3, 4, 6}) {
-    catalog.push_back(make_group("C" + std::to_string(n) + "v",
+    catalog.push_back(make_group(schoenflies('C', n, "v"),
                                  {rotation_z(n), sigma_v},
                                  static_cast<std::size_t>(2 * n)));
   }
   // Cnh (rotation + horizontal mirror).
   for (const std::int64_t n : {2, 3, 4, 6}) {
-    catalog.push_back(make_group("C" + std::to_string(n) + "h",
+    catalog.push_back(make_group(schoenflies('C', n, "h"),
                                  {rotation_z(n), sigma_h},
                                  static_cast<std::size_t>(2 * n)));
   }
   // Dihedral Dn.
   for (const std::int64_t n : {2, 3, 4, 6}) {
-    catalog.push_back(make_group("D" + std::to_string(n),
+    catalog.push_back(make_group(schoenflies('D', n),
                                  {rotation_z(n), c2x},
                                  static_cast<std::size_t>(2 * n)));
   }
   // Prismatic Dnh.
   for (const std::int64_t n : {2, 3, 4, 6}) {
-    catalog.push_back(make_group("D" + std::to_string(n) + "h",
+    catalog.push_back(make_group(schoenflies('D', n, "h"),
                                  {rotation_z(n), c2x, sigma_h},
                                  static_cast<std::size_t>(4 * n)));
   }
   // Antiprismatic Dnd (S_2n axis + perpendicular C2).
   for (const std::int64_t n : {2, 3}) {
-    catalog.push_back(make_group("D" + std::to_string(n) + "d",
+    catalog.push_back(make_group(schoenflies('D', n, "d"),
                                  {improper_rotation_z(2 * n), c2x},
                                  static_cast<std::size_t>(4 * n)));
   }

@@ -2,16 +2,20 @@
 // (ctest label `backend`): dispatch resolution and forced fallback,
 // scalar-backend bit-compatibility with the legacy serial kernels,
 // scalar-vs-SIMD agreement (bit-exact for pointwise IEEE ops, tolerance
-// for reassociating/polynomial kernels), 64-byte buffer alignment, pool
-// reuse, and the zero-fresh-allocation steady state of fixed-shape
-// train/serve loops. Also run under -DMATSCI_SANITIZE=address (the
-// pool's recycled buffers must not mask lifetime bugs with
-// MATSCI_TENSOR_POOL=0).
+// for reassociating/polynomial kernels), the fused EGNN edge layer
+// against its concat-form reference, 64-byte buffer alignment, pool
+// reuse, first gradient writes, and the zero-fresh-allocation steady
+// state of fixed-shape train/serve loops. Also run under
+// -DMATSCI_SANITIZE=address (the pool's recycled buffers must not mask
+// lifetime bugs with MATSCI_TENSOR_POOL=0).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend/backend.hpp"
@@ -421,7 +425,260 @@ TEST(BackendAgreement, RadiusGraphEdgesIdenticalAcrossBackends) {
   }
 }
 
+// --- fused edge layer -------------------------------------------------------
+
+/// One edge_concat_linear problem as plain values: node features h
+/// [n, d], an edge list with self edges and repeated edges whose last
+/// `isolated` nodes touch no edge, d2 [e, 1], w [2d+1, m], b [m], and
+/// the upstream gradient `up` [e, m].
+struct EdgeLayerCase {
+  std::int64_t n, d, m;
+  std::vector<std::int64_t> dst, src;
+  std::vector<float> h, d2, w, b, up;
+};
+
+EdgeLayerCase make_edge_case(std::int64_t n, std::int64_t isolated,
+                             std::int64_t edges, std::int64_t d,
+                             std::int64_t m, std::uint64_t seed) {
+  core::RngEngine rng(seed);
+  EdgeLayerCase c{n, d, m, {}, {}, {}, {}, {}, {}, {}};
+  for (std::int64_t r = 0; r < edges; ++r) {
+    const std::int64_t i = rng.next_int(n - isolated);
+    c.dst.push_back(i);
+    c.src.push_back(r % 5 == 0 ? i : rng.next_int(n - isolated));
+  }
+  for (std::int64_t r = 0; r < edges / 4; ++r) {  // repeated edges
+    c.dst.push_back(c.dst[static_cast<std::size_t>(r)]);
+    c.src.push_back(c.src[static_cast<std::size_t>(r)]);
+  }
+  const std::int64_t e = static_cast<std::int64_t>(c.dst.size());
+  c.h = tensor_bits(core::Tensor::randn({n, d}, rng));
+  c.d2 = tensor_bits(core::Tensor::rand_uniform({e, 1}, rng, 0.0f, 4.0f));
+  c.w = tensor_bits(core::Tensor::randn({2 * d + 1, m}, rng, 0.0f, 0.3f));
+  c.b = tensor_bits(core::Tensor::randn({m}, rng));
+  c.up = tensor_bits(core::Tensor::randn({e, m}, rng));
+  return c;
+}
+
+/// The op's output and the gradients of L = sum(out * up) for the
+/// inputs named in `grads` ("h", "d2", "w", "b"); a gradient that was
+/// never written reads as empty. `fused` picks edge_concat_linear over
+/// the gather -> concat -> matmul -> add reference.
+struct EdgeLayerResult {
+  std::vector<float> out, gh, gd2, gw, gb;
+  bool taped = false;
+};
+
+EdgeLayerResult run_edge_layer(const EdgeLayerCase& c, bool fused,
+                               const std::string& grads = "h d2 w b") {
+  const std::int64_t e = static_cast<std::int64_t>(c.dst.size());
+  const auto leaf = [&](const std::vector<float>& v, core::Shape shape,
+                        const char* name) {
+    core::Tensor t = core::Tensor::from_vector(v, std::move(shape));
+    t.set_requires_grad(grads.find(name) != std::string::npos);
+    return t;
+  };
+  core::Tensor h = leaf(c.h, {c.n, c.d}, "h");
+  core::Tensor d2 = leaf(c.d2, {e, 1}, "d2");
+  core::Tensor w = leaf(c.w, {2 * c.d + 1, c.m}, "w");
+  core::Tensor b = leaf(c.b, {c.m}, "b");
+  core::Tensor out =
+      fused ? core::edge_concat_linear(h, d2, w, b, c.dst, c.src)
+            : core::add(core::matmul(core::concat_cols(
+                                         {core::gather_rows(h, c.dst),
+                                          core::gather_rows(h, c.src), d2}),
+                                     w),
+                        b);
+  EdgeLayerResult r;
+  r.out = tensor_bits(out);
+  r.taped = out.impl()->grad_fn != nullptr;
+  if (!r.taped) return r;
+  core::sum(core::mul(out, core::Tensor::from_vector(c.up, {e, c.m})))
+      .backward();
+  const auto grad_of = [](const core::Tensor& t) {
+    return t.has_grad() ? tensor_bits(t.grad()) : std::vector<float>{};
+  };
+  r.gh = grad_of(h);
+  r.gd2 = grad_of(d2);
+  r.gw = grad_of(w);
+  r.gb = grad_of(b);
+  return r;
+}
+
+/// |got - ref| <= tol * max(1, mag) elementwise, where mag is the same
+/// quantity summed over absolute values: the scale of the rounding error
+/// of a reassociated sum, which exceeds |ref| when terms cancel.
+void expect_close_to_scale(const std::vector<float>& ref,
+                           const std::vector<float>& got,
+                           const std::vector<float>& mag, float tol,
+                           const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  ASSERT_EQ(ref.size(), mag.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_NEAR(ref[i], got[i], tol * std::max(1.0f, mag[i]))
+        << what << " at index " << i;
+  }
+}
+
+TEST(BackendEdgeLayer, MatchesConcatReferenceOnEveryBackend) {
+  // The fused op sums P_i + P_j + d2·w_d + b where the reference runs one
+  // chain over all 2d+1 columns, and dW sums per node where the reference
+  // sums per edge, so the two agree to rounding of those sums. Their
+  // scale is the reference run on absolute values.
+  BackendGuard guard;
+  const EdgeLayerCase cases[] = {
+      make_edge_case(12, 2, 40, 8, 6, 91),    // masked column tails
+      make_edge_case(50, 5, 300, 20, 37, 92),  // 2-vector panels + tail
+      make_edge_case(7, 7, 0, 4, 5, 93),      // E = 0: every node isolated
+  };
+  for (const bk::Backend backend : supported_backends()) {
+    bk::set_backend(backend);
+    for (const EdgeLayerCase& c : cases) {
+      const std::string tag = std::string(bk::backend_name(backend)) +
+                              " e=" + std::to_string(c.dst.size());
+      EdgeLayerCase abs_case = c;
+      for (auto* v : {&abs_case.h, &abs_case.d2, &abs_case.w, &abs_case.b,
+                      &abs_case.up}) {
+        for (float& x : *v) x = std::fabs(x);
+      }
+      const EdgeLayerResult mag = run_edge_layer(abs_case, /*fused=*/false);
+      const EdgeLayerResult ref = run_edge_layer(c, /*fused=*/false);
+      const EdgeLayerResult got = run_edge_layer(c, /*fused=*/true);
+      expect_close_to_scale(ref.out, got.out, mag.out, 1e-5f, tag + " out");
+      expect_close_to_scale(ref.gh, got.gh, mag.gh, 1e-5f, tag + " dh");
+      expect_close_to_scale(ref.gd2, got.gd2, mag.gd2, 1e-5f, tag + " dd2");
+      expect_close_to_scale(ref.gw, got.gw, mag.gw, 1e-5f, tag + " dW");
+      expect_close_to_scale(ref.gb, got.gb, mag.gb, 1e-5f, tag + " db");
+      // With no edges the output is empty, so no gradient reaches the op
+      // in either form; otherwise every input has one.
+      const std::size_t want = c.dst.empty() ? 0 : 1;
+      EXPECT_EQ(got.gh.size(), want * c.h.size()) << tag;
+      EXPECT_EQ(got.gw.size(), want * c.w.size()) << tag;
+      EXPECT_EQ(got.gb.size(), want * c.b.size()) << tag;
+    }
+  }
+}
+
+TEST(BackendEdgeLayer, PassesGradcheckOnASmallGraph) {
+  const EdgeLayerCase c = make_edge_case(5, 1, 6, 2, 3, 94);
+  const std::int64_t e = static_cast<std::int64_t>(c.dst.size());
+  std::vector<core::Tensor> inputs = {
+      core::Tensor::from_vector(c.h, {c.n, c.d}),
+      core::Tensor::from_vector(c.d2, {e, 1}),
+      core::Tensor::from_vector(c.w, {2 * c.d + 1, c.m}),
+      core::Tensor::from_vector(c.b, {c.m})};
+  for (core::Tensor& t : inputs) t.set_requires_grad(true);
+  matsci::testing::gradcheck(
+      [&](std::vector<core::Tensor>& in) {
+        return core::sum(core::square(core::edge_concat_linear(
+            in[0], in[1], in[2], in[3], c.dst, c.src)));
+      },
+      inputs);
+}
+
+TEST(BackendEdgeLayer, ComputesOnlyTheGradientsThatAreNeeded) {
+  const EdgeLayerCase c = make_edge_case(12, 2, 40, 8, 6, 95);
+  const EdgeLayerResult ref = run_edge_layer(c, /*fused=*/false);
+
+  // Only d2, as when the edge features are differentiated for forces
+  // through frozen parameters.
+  const EdgeLayerResult only_d2 = run_edge_layer(c, /*fused=*/true, "d2");
+  EXPECT_TRUE(only_d2.gh.empty() && only_d2.gw.empty() && only_d2.gb.empty());
+  expect_close(ref.gd2, only_d2.gd2, 1e-5f, "dd2 alone");
+
+  // Only the parameters.
+  const EdgeLayerResult only_wb = run_edge_layer(c, /*fused=*/true, "w b");
+  EXPECT_TRUE(only_wb.gh.empty() && only_wb.gd2.empty());
+  expect_close(ref.gw, only_wb.gw, 1e-5f, "dW alone");
+  expect_close(ref.gb, only_wb.gb, 1e-5f, "db alone");
+
+  // Nothing needs a gradient, or grad mode is off: no tape node.
+  EXPECT_FALSE(run_edge_layer(c, /*fused=*/true, "").taped);
+  core::NoGradGuard no_grad;
+  const EdgeLayerResult untaped = run_edge_layer(c, /*fused=*/true);
+  EXPECT_FALSE(untaped.taped);
+  expect_close(ref.out, untaped.out, 1e-5f, "no-grad out");
+}
+
+TEST(BackendEdgeLayer, EgnnParameterNamesAndShapesAreUnchanged) {
+  // The fused op reads edge_mlp.layer0's [2h+1, h] weight in place, so
+  // checkpoints written before it load unchanged.
+  core::RngEngine rng(96);
+  models::EGNNConfig cfg;
+  cfg.hidden_dim = 4;
+  cfg.pos_hidden = 3;
+  cfg.num_layers = 2;
+  cfg.max_species = 5;
+  models::EGNN encoder(cfg, rng);
+  const std::vector<std::pair<std::string, core::Shape>> expected = {
+      {"species_embedding.weight", {5, 4}},
+      {"layer0.edge_mlp.layer0.weight", {9, 4}},
+      {"layer0.edge_mlp.layer0.bias", {4}},
+      {"layer0.edge_mlp.layer1.weight", {4, 4}},
+      {"layer0.edge_mlp.layer1.bias", {4}},
+      {"layer0.coord_mlp.layer0.weight", {4, 3}},
+      {"layer0.coord_mlp.layer0.bias", {3}},
+      {"layer0.coord_mlp.layer1.weight", {3, 1}},
+      {"layer0.coord_mlp.layer1.bias", {1}},
+      {"layer0.node_mlp.layer0.weight", {8, 4}},
+      {"layer0.node_mlp.layer0.bias", {4}},
+      {"layer0.node_mlp.layer1.weight", {4, 4}},
+      {"layer0.node_mlp.layer1.bias", {4}},
+      {"layer1.edge_mlp.layer0.weight", {9, 4}},
+      {"layer1.edge_mlp.layer0.bias", {4}},
+      {"layer1.edge_mlp.layer1.weight", {4, 4}},
+      {"layer1.edge_mlp.layer1.bias", {4}},
+      {"layer1.node_mlp.layer0.weight", {8, 4}},
+      {"layer1.node_mlp.layer0.bias", {4}},
+      {"layer1.node_mlp.layer1.weight", {4, 4}},
+      {"layer1.node_mlp.layer1.bias", {4}},
+  };
+  const auto named = encoder.named_parameters();
+  ASSERT_EQ(named.size(), expected.size());
+  for (std::size_t i = 0; i < named.size(); ++i) {
+    EXPECT_EQ(named[i].first, expected[i].first);
+    EXPECT_EQ(named[i].second.shape(), expected[i].second) << expected[i].first;
+  }
+}
+
 // --- memory runtime ---------------------------------------------------------
+
+TEST(BackendMemory, FirstGradWriteEqualsZeroFillPlusAdd) {
+  // A first write adopts (or copies) g + 0.0f instead of adding g into
+  // a zero-filled buffer; both must give 0 + g bit for bit, −0 included.
+  const std::vector<float> g = {-0.0f, 0.0f, 1.5f, -2.25f, -0.0f,
+                                1e-40f, -3.0e38f, 7.0f};
+  const std::size_t n = g.size();
+  mem::FloatStorage zero_fill_add = mem::FloatStorage::zeros(n);
+  bk::kernels().add_rows(zero_fill_add.data(), g.data(),
+                         static_cast<std::int64_t>(n));
+  const auto fresh_impl = [n] {
+    auto impl = std::make_shared<core::TensorImpl>();
+    impl->shape = {static_cast<std::int64_t>(n)};
+    impl->data = mem::FloatStorage::zeros(n);
+    return impl;
+  };
+  const auto same_bits = [n](const mem::FloatStorage& a, const float* b) {
+    return std::memcmp(a.data(), b, n * sizeof(float)) == 0;
+  };
+
+  auto adopted = fresh_impl();
+  adopted->accumulate_grad(mem::FloatStorage::copy_of(g.data(), n));
+  EXPECT_TRUE(same_bits(adopted->grad, zero_fill_add.data()));
+  EXPECT_FALSE(std::signbit(adopted->grad[0]));
+
+  auto copied = fresh_impl();
+  copied->accumulate_grad(g.data());
+  EXPECT_TRUE(same_bits(copied->grad, zero_fill_add.data()));
+
+  // Later writes add into the existing buffer, from either overload.
+  bk::kernels().add_rows(zero_fill_add.data(), g.data(),
+                         static_cast<std::int64_t>(n));
+  adopted->accumulate_grad(mem::FloatStorage::copy_of(g.data(), n));
+  copied->accumulate_grad(g.data());
+  EXPECT_TRUE(same_bits(adopted->grad, zero_fill_add.data()));
+  EXPECT_TRUE(same_bits(copied->grad, zero_fill_add.data()));
+}
 
 TEST(BackendMemory, StorageBuffersAre64ByteAligned) {
   for (const std::size_t n : {1ul, 17ul, 1000ul, 65536ul}) {

@@ -296,9 +296,9 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
 }
 
 TEST(ParallelDeterminism, MatmulGradsAreThreadCountInvariantUnderEveryBackend) {
-  // The first EGNN edge layer's shape. dW chunks hold whole 4-row kk
-  // groups and dA runs matmul_nn on W^T; neither may depend on how many
-  // threads share the chunks.
+  // A tall product with a 65-wide inner dimension. dW chunks hold whole
+  // 4-row kk groups and dA runs matmul_nn on W^T; neither may depend on
+  // how many threads share the chunks.
   namespace bk = core::backend;
   EachBackend backends;
   PoolSizeGuard pool;
@@ -322,6 +322,57 @@ TEST(ParallelDeterminism, MatmulGradsAreThreadCountInvariantUnderEveryBackend) {
           << bk::backend_name(backend) << " dA at " << threads << " threads";
       EXPECT_TRUE(bit_identical(reference.b, got.b))
           << bk::backend_name(backend) << " dW at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDeterminism, EdgeConcatLinearIsThreadCountInvariantUnderEveryBackend) {
+  // The fused first edge layer at a pretraining batch's shape (640
+  // nodes, 9216 edges, width 32), so the node GEMMs, the edge pass, the
+  // bucketed scatter and the dW rows all split into several chunks.
+  namespace bk = core::backend;
+  EachBackend backends;
+  PoolSizeGuard pool;
+  core::RngEngine rng(19);
+  const std::int64_t n = 640, e = 9216, d = 32, m = 32;
+  std::vector<std::int64_t> dst(static_cast<std::size_t>(e));
+  std::vector<std::int64_t> src(static_cast<std::size_t>(e));
+  for (std::int64_t r = 0; r < e; ++r) {
+    dst[static_cast<std::size_t>(r)] = rng.next_int(n);
+    src[static_cast<std::size_t>(r)] = rng.next_int(n);
+  }
+  const std::vector<float> hv = tensor_bits(core::Tensor::randn({n, d}, rng));
+  const std::vector<float> d2v =
+      tensor_bits(core::Tensor::rand_uniform({e, 1}, rng, 0.0f, 4.0f));
+  const std::vector<float> wv =
+      tensor_bits(core::Tensor::randn({2 * d + 1, m}, rng, 0.0f, 0.2f));
+  const std::vector<float> bv = tensor_bits(core::Tensor::randn({m}, rng));
+  const core::Tensor up = core::Tensor::randn({e, m}, rng);
+  const auto run = [&] {
+    std::vector<core::Tensor> in = {
+        core::Tensor::from_vector(hv, {n, d}),
+        core::Tensor::from_vector(d2v, {e, 1}),
+        core::Tensor::from_vector(wv, {2 * d + 1, m}),
+        core::Tensor::from_vector(bv, {m})};
+    for (core::Tensor& t : in) t.set_requires_grad(true);
+    const core::Tensor out =
+        core::edge_concat_linear(in[0], in[1], in[2], in[3], dst, src);
+    std::vector<float> bits = tensor_bits(out);
+    core::sum(core::mul(out, up)).backward();
+    for (const core::Tensor& t : in) {
+      const std::vector<float> g = tensor_bits(t.grad());
+      bits.insert(bits.end(), g.begin(), g.end());
+    }
+    return bits;
+  };
+  for (const bk::Backend backend : backends.list()) {
+    bk::set_backend(backend);
+    par::set_num_threads(1);
+    const std::vector<float> reference = run();
+    for (const std::int64_t threads : {2, 4}) {
+      par::set_num_threads(threads);
+      EXPECT_TRUE(bit_identical(reference, run()))
+          << bk::backend_name(backend) << " at " << threads << " threads";
     }
   }
 }
