@@ -10,20 +10,12 @@
 //   3. compose it with the α-β ring-allreduce model of the HDR200
 //      cluster to regenerate the 16→512-rank curve and epoch times for
 //      the paper's 2M-sample dataset.
-// The comm/coll subsystem adds a fourth part: overlapped, compressed
-// DDP on band-gap regression — measured overlap fraction (how much of
-// the bucket in-flight time hides under backward) and per-compressor
-// measured-vs-predicted wire bytes, fed back into the α-β model via
-// compressed_allreduce_seconds.
 #include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "comm/coll/compressor.hpp"
 #include "comm/perf_model.hpp"
-#include "materials/materials_project.hpp"
 #include "optim/sgd.hpp"
-#include "tasks/regression.hpp"
 #include "train/ddp.hpp"
 
 namespace {
@@ -100,30 +92,43 @@ int main() {
                      .set("train_ce", result.epochs.back().train.at("ce")));
   }
 
-  // The thread-DDP runs above fed the obs registry: compare the
-  // measured exposed allreduce tail (the wait after backward; most of
-  // the reduction hides under backward) with what the α-β model
+  // The thread-DDP runs above fed the obs registry. The exposed tail
+  // (ddp.allreduce_us) is what a rank blocks in finish_step after its
+  // own backward: waiting for the slower ranks' backward to post the
+  // last bucket, plus the pool-side reduction (comm.bucket.reduce_us).
+  // Print both to split the two, and compare with what the α-β model
   // predicts for one step's gradient on the paper's HDR200 fabric at
   // world=4.
   {
     const obs::HistogramSnapshot tail =
         obs::MetricsRegistry::global().histogram("ddp.allreduce_us")
             .snapshot();
+    const obs::HistogramSnapshot reduce =
+        obs::MetricsRegistry::global().histogram("comm.bucket.reduce_us")
+            .snapshot();
     comm::PerfModel hdr200;
     const double modeled_us =
         hdr200.allreduce_seconds(4, step_grad_bytes) * 1e6;
     std::printf(
-        "\n    gradient allreduce: %.2f MiB per rank per step; exposed tail\n"
-        "    after backward mean %.1f us in-process (%lld rank-steps) vs\n"
-        "    %.1f us α-β-modeled full allreduce (HDR200, w=4)\n",
+        "\n    gradient allreduce: %.2f MiB per rank per step\n"
+        "    exposed tail after backward (%lld rank-steps): mean %.1f us,\n"
+        "      p50 %.1f us, p95 %.1f us\n"
+        "    pool-side reduction: mean %.1f us, max %.1f us per bucket;\n"
+        "      the rest of the tail waits for the slower rank's backward\n"
+        "    α-β-modeled full allreduce (HDR200, w=4): %.1f us\n",
         static_cast<double>(step_grad_bytes) / (1024.0 * 1024.0),
-        tail.mean(), static_cast<long long>(tail.count), modeled_us);
+        static_cast<long long>(tail.count), tail.mean(),
+        tail.percentile(0.5), tail.percentile(0.95), reduce.mean(),
+        reduce.max, modeled_us);
     reporter.add(obs::JsonRecord()
                      .set("record", "allreduce_vs_model")
                      .set("gradient_bytes", step_grad_bytes)
                      .set("exposed_tail_rank_steps", tail.count)
                      .set("exposed_tail_mean_us", tail.mean())
+                     .set("exposed_tail_p50_us", tail.percentile(0.5))
                      .set("exposed_tail_p95_us", tail.percentile(0.95))
+                     .set("pool_reduce_mean_us", reduce.mean())
+                     .set("pool_reduce_max_us", reduce.max)
                      .set("modeled_hdr200_w4_us", modeled_us));
   }
 
@@ -210,114 +215,6 @@ int main() {
       "averaging stays small against per-rank compute.\n",
       100.0 * efficiency_512);
 
-  // --- Part 4: overlapped + compressed DDP (comm/coll) ----------------
-  // Band-gap regression at world=2 per compressor: the bucketed engine
-  // posts each bucket's allreduce as backward finalizes its last grad,
-  // so part of the reduction hides under compute (overlap fraction),
-  // and lossy compressors shrink the simulated wire bytes by a ratio
-  // the α-β model can predict.
-  std::printf(
-      "\n[4] Overlapped, compressed DDP (band-gap regression, world=2):\n\n");
-  std::printf("%10s %12s %12s %10s %10s %10s %12s\n", "compressor",
-              "grad MiB", "wire MiB", "meas r", "pred r", "overlap",
-              "final loss");
-  {
-    materials::MaterialsProjectDataset mp(96, 41);
-    const data::TargetStats stats = data::compute_target_stats(mp, "band_gap");
-    const double topk_fraction = 0.05;
-    double identity_loss = 0.0;
-    for (const comm::coll::CompressorKind kind :
-         {comm::coll::CompressorKind::kIdentity,
-          comm::coll::CompressorKind::kInt8,
-          comm::coll::CompressorKind::kTopK}) {
-      train::DDPTrainer ddp;
-      train::DDPOptions opts;
-      opts.world_size = 2;
-      opts.max_epochs = 2;
-      opts.grad_clip = 1.0;
-      opts.coll.compressor = kind;
-      opts.coll.topk_fraction = topk_fraction;
-      const train::DDPResult result = ddp.fit(
-          [&mp, &stats](std::int64_t rank, std::int64_t world) {
-            train::RankContext ctx;
-            core::RngEngine rng(23);
-            auto encoder = std::make_shared<models::EGNN>(
-                bench::bench_encoder_config(), rng);
-            auto task = std::make_unique<tasks::ScalarRegressionTask>(
-                encoder, "band_gap", bench::bench_head_config(), rng, stats);
-            data::DataLoaderOptions lo;
-            lo.batch_size = 16;
-            lo.seed = 3;
-            lo.shuffle = false;
-            lo.rank = rank;
-            lo.world_size = world;
-            lo.collate.radius.cutoff = 4.5;
-            ctx.train_loader = std::make_unique<data::DataLoader>(mp, lo);
-            ctx.optimizer = std::make_unique<optim::SGD>(
-                task->parameters(), optim::SGDOptions{.lr = 1e-3});
-            ctx.task = std::move(task);
-            return ctx;
-          },
-          opts);
-
-      const double measured_ratio =
-          result.comm_bytes > 0
-              ? static_cast<double>(result.comm_compressed_bytes) /
-                    static_cast<double>(result.comm_bytes)
-              : 1.0;
-      // Wire-format ratios: int8 ships one byte per element plus a
-      // per-bucket fp32 scale (≈1/4); top-k ships (value, index) pairs
-      // for k = n·frac elements (≈2·frac).
-      double predicted_ratio = 1.0;
-      if (kind == comm::coll::CompressorKind::kInt8) {
-        predicted_ratio = 0.25;
-      } else if (kind == comm::coll::CompressorKind::kTopK) {
-        predicted_ratio = 2.0 * topk_fraction;
-      }
-      const double final_loss = result.epochs.back().train.at("loss");
-      if (kind == comm::coll::CompressorKind::kIdentity) {
-        identity_loss = final_loss;
-      }
-      std::printf("%10s %12.3f %12.3f %10.3f %10.3f %9.1f%% %12.4f\n",
-                  comm::coll::to_string(kind).c_str(),
-                  static_cast<double>(result.comm_bytes) / (1024.0 * 1024.0),
-                  static_cast<double>(result.comm_compressed_bytes) /
-                      (1024.0 * 1024.0),
-                  measured_ratio, predicted_ratio,
-                  100.0 * result.mean_overlap_fraction, final_loss);
-      reporter.add(obs::JsonRecord()
-                       .set("record", "ddp_compression")
-                       .set("compressor", comm::coll::to_string(kind))
-                       .set("grad_bytes", result.comm_bytes)
-                       .set("wire_bytes", result.comm_compressed_bytes)
-                       .set("measured_ratio", measured_ratio)
-                       .set("predicted_ratio", predicted_ratio)
-                       .set("overlap_fraction", result.mean_overlap_fraction)
-                       .set("final_loss", final_loss)
-                       .set("identity_loss", identity_loss));
-    }
-
-    // Feed the measured per-step gradient volume through the compressed
-    // α-β model: what each compressor buys on the paper's fabric.
-    std::printf(
-        "\n    modeled HDR200 allreduce at w=16 for a %.2f MiB bucket:\n",
-        static_cast<double>(grad_bytes) / (1024.0 * 1024.0));
-    for (const auto& [name, ratio] :
-         {std::pair<const char*, double>{"identity", 1.0},
-          {"int8", 0.25},
-          {"topk", 2.0 * topk_fraction}}) {
-      const double us =
-          model.compressed_allreduce_seconds(16, grad_bytes, ratio) * 1e6;
-      std::printf("%14s  ratio %.3f -> %8.1f us\n", name, ratio, us);
-      reporter.add(obs::JsonRecord()
-                       .set("record", "modeled_compressed_allreduce")
-                       .set("compressor", name)
-                       .set("ratio", ratio)
-                       .set("ranks", 16)
-                       .set("bytes", grad_bytes)
-                       .set("modeled_us", us));
-    }
-  }
   reporter.finish();
   return 0;
 }

@@ -71,11 +71,11 @@ selftest() {
     '{"record":"meta","bench":"serve_openloop"}' \
     '{"record":"run","closed_loop":false,"multiplier":10,"p99_us":9000,"scrapes":8,"scrapes_valid":8,"scrape_mean_us":410.2,"scrape_max_us":902.7,"trace_continuity_ok":1,"stage_queue_wait_mean_us":1800.4,"stage_forward_mean_us":950.1}' \
     > "$dir/BENCH_serve_openloop.json"
-  # fig2's compressed-DDP records (comm/coll): per-compressor wire
-  # accounting + overlap fraction must aggregate untouched.
+  # fig2's allreduce record (comm/coll): the exposed tail after
+  # backward and the pool-side reduction must aggregate untouched.
   printf '%s\n%s\n' \
     '{"record":"meta","bench":"fig2_scaleout"}' \
-    '{"record":"ddp_compression","compressor":"int8","grad_bytes":1000,"wire_bytes":254,"measured_ratio":0.254,"predicted_ratio":0.25,"overlap_fraction":0.42,"final_loss":1.5}' \
+    '{"record":"allreduce_vs_model","gradient_bytes":104072,"exposed_tail_rank_steps":48,"exposed_tail_mean_us":3100.5,"exposed_tail_p50_us":52.4,"exposed_tail_p95_us":9800.2,"pool_reduce_mean_us":160.3,"pool_reduce_max_us":288.7,"modeled_hdr200_w4_us":9.9}' \
     > "$dir/BENCH_fig2_scaleout.json"
   # fig4_mdscale's MD-at-scale records: wave-throughput accounting and
   # the active-learning outcome must aggregate with fields intact.
@@ -125,11 +125,13 @@ selftest() {
     echo "collect_bench selftest: telemetry fields missing from open-loop record" >&2
     return 1
   fi
-  # The compression record must keep its per-compressor fields (ratio,
-  # overlap) so dashboards can plot predicted-vs-measured wire savings.
-  if ! grep -q '"source":"BENCH_fig2_scaleout.json","record":"ddp_compression","compressor":"int8"' "$out" ||
-     ! grep -q '"overlap_fraction":0.42' "$out"; then
-    echo "collect_bench selftest: fig2 compression record missing fields" >&2
+  # The allreduce record must keep the tail's mean, p50 and p95 and the
+  # pool-side reduction beside them, so dashboards can tell waiting for
+  # the slower rank from reduction time.
+  if ! grep -q '"source":"BENCH_fig2_scaleout.json","record":"allreduce_vs_model"' "$out" ||
+     ! grep -q '"exposed_tail_mean_us":3100.5,"exposed_tail_p50_us":52.4,"exposed_tail_p95_us":9800.2' "$out" ||
+     ! grep -q '"pool_reduce_mean_us":160.3,"pool_reduce_max_us":288.7' "$out"; then
+    echo "collect_bench selftest: fig2 allreduce record missing fields" >&2
     return 1
   fi
   # The MD-at-scale records must keep their throughput and

@@ -11,16 +11,18 @@ namespace matsci::comm::coll {
 
 namespace {
 
+/// Bucket capacity in bytes of fp32 payload. 1 MiB mirrors the PyTorch
+/// DDP default order of magnitude, scaled to our model sizes.
+constexpr std::int64_t kBucketBytes = 1 << 20;
+
 /// Bucket-only series. Posted fp32 bytes are counted where ranks meet
 /// (comm.allreduce.bytes, in GroupState::post).
 struct BucketMetrics {
-  obs::Counter& compressed_bytes;
   obs::Histogram& reduce_us;
   obs::Series& overlap_fraction;
 
   static BucketMetrics& get() {
     static BucketMetrics* m = new BucketMetrics{
-        obs::MetricsRegistry::global().counter("comm.bucket.compressed_bytes"),
         obs::MetricsRegistry::global().histogram("comm.bucket.reduce_us"),
         obs::MetricsRegistry::global().series("comm.overlap_fraction"),
     };
@@ -36,12 +38,8 @@ double us_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 BucketAllreduce::BucketAllreduce(Communicator& comm,
-                                 std::vector<core::Tensor> params,
-                                 const CollOptions& opts)
-    : comm_(comm),
-      bucketer_(std::move(params), opts.bucket_bytes),
-      opts_(opts),
-      compressor_(make_compressor(opts)) {
+                                 std::vector<core::Tensor> params)
+    : comm_(comm), bucketer_(std::move(params), kBucketBytes) {
   state_.resize(bucketer_.num_buckets());
 }
 
@@ -68,8 +66,6 @@ void BucketAllreduce::begin_step() {
     s.launched = false;
     s.waited = false;
   }
-  step_bytes_ = 0;
-  step_compressed_bytes_ = 0;
   step_armed_ = true;
 }
 
@@ -96,36 +92,13 @@ void BucketAllreduce::launch(std::size_t bucket) {
   MATSCI_TRACE_SCOPE("coll/bucket_launch");
   BucketState& s = state_[bucket];
   const std::span<float> flat = bucketer_.flatten(bucket);
-  const auto fp32_bytes =
-      static_cast<std::int64_t>(flat.size() * sizeof(float));
-  std::int64_t wire = fp32_bytes;
-  if (!compressor_->lossless()) {
-    if (opts_.error_feedback) {
-      // Error feedback: e = g + r, transmit C(e), carry r' = e - C(e).
-      if (s.residual.size() != flat.size()) {
-        s.residual = core::memory::FloatStorage::zeros(flat.size());
-      }
-      float* r = s.residual.data();
-      for (std::size_t i = 0; i < flat.size(); ++i) flat[i] += r[i];
-      for (std::size_t i = 0; i < flat.size(); ++i) r[i] = flat[i];
-      wire = compressor_->roundtrip(flat);
-      for (std::size_t i = 0; i < flat.size(); ++i) r[i] -= flat[i];
-    } else {
-      wire = compressor_->roundtrip(flat);
-    }
-  }
-  BucketMetrics& metrics = BucketMetrics::get();
-  metrics.compressed_bytes.add(wire);
-  totals_.bytes += fp32_bytes;
-  totals_.compressed_bytes += wire;
-  step_bytes_ += fp32_bytes;
-  step_compressed_bytes_ += wire;
+  totals_.bytes += static_cast<std::int64_t>(flat.size() * sizeof(float));
   comm_.allreduce_mean_nb(static_cast<std::int64_t>(bucket), flat);
   s.post_time = std::chrono::steady_clock::now();
   s.launched = true;
 }
 
-StepStats BucketAllreduce::finish_step() {
+void BucketAllreduce::finish_step() {
   MATSCI_CHECK(step_armed_, "finish_step without begin_step");
   MATSCI_TRACE_SCOPE("coll/finish_step");
   const auto backward_end = std::chrono::steady_clock::now();
@@ -138,20 +111,14 @@ StepStats BucketAllreduce::finish_step() {
     if (!state_[i].launched) launch(i);
   }
 
-  StepStats stats;
-  stats.buckets = static_cast<std::int64_t>(state_.size());
   double inflight_us = 0.0;
   double hidden_us = 0.0;
   BucketMetrics& metrics = BucketMetrics::get();
   for (std::size_t i = 0; i < state_.size(); ++i) {
     BucketState& s = state_[i];
-    const auto wait_start = std::chrono::steady_clock::now();
     const WaitInfo info =
         comm_.wait_allreduce(static_cast<std::int64_t>(i));
     s.waited = true;
-    stats.exposed_wait_us +=
-        us_between(wait_start, std::chrono::steady_clock::now());
-    stats.reduce_us += info.reduce_us;
     metrics.reduce_us.observe(info.reduce_us);
     const double total = us_between(s.post_time, info.done_at);
     if (total > 0.0) {
@@ -162,16 +129,13 @@ StepStats BucketAllreduce::finish_step() {
     }
     bucketer_.unflatten(i);
   }
-  stats.bytes = step_bytes_;
-  stats.compressed_bytes = step_compressed_bytes_;
-  stats.overlap_fraction = inflight_us > 0.0 ? hidden_us / inflight_us : 0.0;
+  const double overlap_fraction =
+      inflight_us > 0.0 ? hidden_us / inflight_us : 0.0;
 
+  metrics.overlap_fraction.record(totals_.steps, overlap_fraction);
   ++totals_.steps;
-  totals_.overlap_fraction_sum += stats.overlap_fraction;
-  metrics.overlap_fraction.record(step_index_, stats.overlap_fraction);
-  ++step_index_;
+  totals_.overlap_fraction_sum += overlap_fraction;
   step_armed_ = false;
-  return stats;
 }
 
 }  // namespace matsci::comm::coll

@@ -5,7 +5,9 @@
 // the last-registered layers first (they sit closest to the loss), so
 // reverse-order buckets fill early in the backward pass and their
 // allreduce overlaps the gradient computation still running for the
-// earlier layers — the same heuristic as PyTorch DDP.
+// earlier layers — the same heuristic as PyTorch DDP. BucketAllreduce
+// caps buckets at a fixed 1 MiB; the cap is an argument here so the
+// partition can be tested at small sizes.
 
 #include <cstdint>
 #include <span>

@@ -74,7 +74,7 @@ void GroupState::reduce(Slot& s) {
   // Inputs are frozen: every rank posted (under s.mu) before the task
   // was submitted, and none touches its buffer until wait() observes
   // done — so the hot loop runs lock-free. The sum and the mean share
-  // one fold, so identity-compressed DDP is bit-identical to a plain
+  // one fold, so a DDP gradient bucket is bit-identical to a plain
   // double-accumulated mean in rank order.
   const obs::StopWatch watch;
   std::vector<float*> bufs;

@@ -25,25 +25,6 @@ double PerfModel::allreduce_seconds(std::int64_t ranks,
   return 2.0 * (n - 1.0) * per_step;
 }
 
-double PerfModel::compressed_allreduce_seconds(std::int64_t ranks,
-                                               std::int64_t bytes,
-                                               double ratio) const {
-  MATSCI_CHECK(ratio > 0.0 && ratio <= 1.0,
-               "compression ratio must be in (0, 1], got " << ratio);
-  if (ranks == 1) return 0.0;
-  const bool crosses_nodes = ranks > cfg_.ranks_per_node;
-  const double alpha =
-      crosses_nodes ? cfg_.inter_node_latency : cfg_.intra_node_latency;
-  const double beta = 1.0 / (crosses_nodes ? cfg_.inter_node_bandwidth
-                                           : cfg_.intra_node_bandwidth);
-  // Same 2(N−1) message schedule as the uncompressed ring — compression
-  // shrinks the payload (β term), never the message count (α term).
-  const double n = static_cast<double>(ranks);
-  const double per_step =
-      alpha + (static_cast<double>(bytes) * ratio / n) * beta;
-  return 2.0 * (n - 1.0) * per_step;
-}
-
 double PerfModel::step_seconds(std::int64_t ranks,
                                double compute_seconds_per_rank,
                                std::int64_t gradient_bytes) const {

@@ -29,13 +29,6 @@ class PerfModel {
   /// node boundaries).
   double allreduce_seconds(std::int64_t ranks, std::int64_t bytes) const;
 
-  /// Ring-allreduce time when the payload is compressed to
-  /// `ratio` = wire_bytes / fp32_bytes before transmission (int8 ≈ 0.25,
-  /// top-k ≈ 2k/n): same α term — message count is unchanged — with the
-  /// β term scaled by the ratio. `ratio` must be in (0, 1].
-  double compressed_allreduce_seconds(std::int64_t ranks, std::int64_t bytes,
-                                      double ratio) const;
-
   /// One synchronous DDP step: max-rank compute + gradient allreduce.
   double step_seconds(std::int64_t ranks, double compute_seconds_per_rank,
                       std::int64_t gradient_bytes) const;

@@ -84,7 +84,7 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
     monitor->set_rank(rank);
   }
 
-  comm::coll::BucketAllreduce engine(comm, params, opts.coll);
+  comm::coll::BucketAllreduce engine(comm, params);
 
   double local_samples = 0.0;
   std::int64_t local_steps = 0;      // applied optimizer steps
@@ -283,8 +283,7 @@ void train_incarnation(comm::Communicator& comm, std::int64_t incarnation,
     sh.result.total_samples = all_samples;
     sh.result.total_steps = local_steps;
     sh.result.final_world = comm.world_size();
-    sh.result.comm_bytes += engine.totals().bytes;
-    sh.result.comm_compressed_bytes += engine.totals().compressed_bytes;
+    sh.result.comm_bytes = engine.totals().bytes;
     sh.result.mean_overlap_fraction = engine.totals().mean_overlap_fraction();
   }
 }

@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 
-#include "comm/coll/compressor.hpp"
 #include "comm/communicator.hpp"
 #include "train/trainer.hpp"
 
@@ -33,12 +32,6 @@ struct DDPOptions {
   obs::health::HealthOptions health;
   /// Rank-0 anomaly callback (same semantics as Trainer's).
   Trainer::AnomalyCallback on_anomaly;
-  /// Gradient averaging (comm/coll): gradients stream out in
-  /// reverse-registration-order buckets as backward finalizes them,
-  /// each bucket reducing on the shared pool while backward continues.
-  /// Bucket sizing + compressor selection (identity / int8 / top-k with
-  /// error feedback).
-  comm::coll::CollOptions coll;
   /// Elastic recovery (DESIGN.md §12): when a rank dies mid-training,
   /// survivors rebuild a resized group, re-invoke the factory with
   /// their new (rank, world), resume from the last checkpoint in
@@ -64,11 +57,11 @@ struct DDPResult {
   std::int64_t recoveries = 0;             ///< group rebuilds performed
   std::vector<std::int64_t> lost_ranks;    ///< original-group numbering
   std::int64_t final_world = 0;            ///< world size at completion
-  /// Gradient-allreduce accounting (rank-0 view, summed over
-  /// incarnations).
-  std::int64_t comm_bytes = 0;             ///< fp32 payload posted
-  std::int64_t comm_compressed_bytes = 0;  ///< simulated wire bytes
-  double mean_overlap_fraction = 0.0;      ///< mean over steps
+  /// Gradient-allreduce accounting, rank 0's view of the incarnation
+  /// that finished: one that lost a rank never reports, so after a
+  /// recovery these cover the survivor group's steps only.
+  std::int64_t comm_bytes = 0;         ///< fp32 payload posted
+  double mean_overlap_fraction = 0.0;  ///< mean over steps
   double samples_per_second() const {
     return wall_seconds > 0.0 ? total_samples / wall_seconds : 0.0;
   }
@@ -77,7 +70,9 @@ struct DDPResult {
 /// Thread-backed synchronous data-parallel trainer (paper §4.2): each
 /// rank owns a model replica and a disjoint data shard; gradients are
 /// averaged with an allreduce every step, so all replicas stay identical.
-/// Functionally equivalent to torch DDP over MPI ranks.
+/// The allreduce streams reverse-registration-order buckets out as
+/// backward finalizes them (comm/coll, DESIGN.md §12). Functionally
+/// equivalent to torch DDP over MPI ranks.
 class DDPTrainer {
  public:
   using Factory =
