@@ -7,10 +7,12 @@
 /// each figure's *shape* at laptop scale — smaller widths, datasets of
 /// 10²–10³ samples — so a full run of every bench finishes in minutes.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "data/dataloader.hpp"
 #include "data/tagged.hpp"
@@ -88,6 +90,23 @@ inline std::shared_ptr<models::EGNN> pretrain_symmetry_encoder(
   topts.verbose = verbose;
   train::Trainer(topts).fit(task, loader, nullptr, opt);
   return encoder;
+}
+
+/// Lower quartile, median and upper quartile of repeated timings
+/// (linear interpolation between order statistics).
+struct Spread {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+inline Spread spread_of(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 inline void print_header(const std::string& title) {

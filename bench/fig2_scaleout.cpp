@@ -6,12 +6,14 @@
 // to per-rank compute. Reproduction strategy (DESIGN.md §2):
 //   1. run *real* thread-backed DDP for small worlds to validate the
 //      synchronous-training semantics end to end;
-//   2. measure true single-rank compute time per step;
+//   2. measure true single-rank compute time per step (median of
+//      repeated timing windows, with quartiles);
 //   3. compose it with the α-β ring-allreduce model of the HDR200
 //      cluster to regenerate the 16→512-rank curve and epoch times for
 //      the paper's 2M-sample dataset.
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "comm/perf_model.hpp"
@@ -145,34 +147,45 @@ int main() {
   lo.collate.representation = data::Representation::kPointCloud;
   data::DataLoader loader(ds, lo);
 
-  // Warmup + timed steps (forward + backward + optimizer).
-  const std::int64_t timed_steps = 8;
-  for (std::int64_t b = 0; b < 2; ++b) {
+  // Warmup, then kWindows timed windows of the same kWindowSteps
+  // batches (forward + backward + optimizer). The median window sets
+  // the step time part 3 scales from; the quartiles show how much a
+  // disturbed window could have moved it.
+  constexpr int kWindows = 7;
+  constexpr std::int64_t kWindowSteps = 8;
+  const auto train_step = [&](std::int64_t b) {
     opt.zero_grad();
     task.step(loader.batch(b)).loss.backward();
     opt.step();
+  };
+  for (std::int64_t b = 0; b < 2; ++b) train_step(b);
+  std::vector<double> window_s_per_step;
+  for (int w = 0; w < kWindows; ++w) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::int64_t b = 0; b < kWindowSteps; ++b) train_step(b);
+    window_s_per_step.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(kWindowSteps));
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::int64_t b = 0; b < timed_steps; ++b) {
-    opt.zero_grad();
-    task.step(loader.batch(b)).loss.backward();
-    opt.step();
-  }
-  const double compute_per_step =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count() /
-      static_cast<double>(timed_steps);
+  const bench::Spread step_s = bench::spread_of(window_s_per_step);
+  const double compute_per_step = step_s.median;
   const std::int64_t grad_bytes = task.num_parameters() * 4;
   std::printf(
-      "\n[2] Measured single-rank compute: %.4f s/step (B=%lld, %lld\n"
-      "    parameters -> %.2f MiB gradient bucket)\n",
-      compute_per_step, static_cast<long long>(kBatchPerRank),
+      "\n[2] Measured single-rank compute: %.4f s/step median of %d windows\n"
+      "    of %lld steps (quartiles %.4f-%.4f; B=%lld, %lld parameters ->\n"
+      "    %.2f MiB gradient bucket)\n",
+      compute_per_step, kWindows, static_cast<long long>(kWindowSteps),
+      step_s.q1, step_s.q3, static_cast<long long>(kBatchPerRank),
       static_cast<long long>(task.num_parameters()),
       static_cast<double>(grad_bytes) / (1024.0 * 1024.0));
   reporter.add(obs::JsonRecord()
                    .set("record", "single_rank_compute")
                    .set("batch_per_rank", kBatchPerRank)
                    .set("compute_s_per_step", compute_per_step)
+                   .set("compute_s_per_step_q1", step_s.q1)
+                   .set("compute_s_per_step_q3", step_s.q3)
+                   .set("windows", kWindows)
                    .set("parameters", task.num_parameters())
                    .set("gradient_bytes", grad_bytes));
 

@@ -11,8 +11,10 @@
 // averaging over N shard batches, so we reproduce B_eff = N·B with
 // sequential gradient accumulation (Trainer::accumulate_batches = N) —
 // identical update trajectories without N threads (DESIGN.md §2).
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "optim/lr_scheduler.hpp"
@@ -126,14 +128,16 @@ void run_regime(obs::BenchReporter& reporter, const char* label,
   }
 }
 
-// Health-on mode: the same training loop with the PR's HealthMonitor
+// Health-on mode: the same training loop with the HealthMonitor
 // active (log-and-continue). Reports the per-step overhead of the
 // monitor — per-layer grad norms, rolling-window detection, flight
 // recorder — which must stay < 5% of a (deliberately small-model,
-// monitor-unfriendly) step. Min-of-repeats on both sides to shed
-// scheduler noise.
+// monitor-unfriendly) step. Off and on run as adjacent pairs, the
+// order alternating from pair to pair, so a slow spell of the host
+// lands on both sides of a pair; the median pair overhead is the
+// figure, the min and max its spread.
 void run_health_overhead(obs::BenchReporter& reporter) {
-  constexpr int kRepeats = 3;
+  constexpr int kPairs = 5;
   constexpr std::int64_t kSteps = 200;
 
   std::printf("\n--- Health monitor overhead (N = 1, %lld steps) ---\n",
@@ -172,26 +176,45 @@ void run_health_overhead(obs::BenchReporter& reporter) {
     return watch.elapsed_us();
   };
 
-  double off_us = 1e300;
-  double on_us = 1e300;
+  std::vector<double> off_us, on_us, overhead_pct;
   std::int64_t anomalies = 0;
-  for (int r = 0; r < kRepeats; ++r) {
-    off_us = std::min(off_us, run_once(false, nullptr));
-    on_us = std::min(on_us, run_once(true, &anomalies));
+  for (int r = 0; r < kPairs; ++r) {
+    double off = 0.0, on = 0.0;
+    if (r % 2 == 0) {
+      off = run_once(false, nullptr);
+      on = run_once(true, &anomalies);
+    } else {
+      on = run_once(true, &anomalies);
+      off = run_once(false, nullptr);
+    }
+    off_us.push_back(off);
+    on_us.push_back(on);
+    overhead_pct.push_back(100.0 * (on - off) / off);
   }
 
-  const double overhead_pct = 100.0 * (on_us - off_us) / off_us;
-  std::printf("health off: %8.1f us/step\n", off_us / kSteps);
-  std::printf("health on:  %8.1f us/step   anomalies flagged: %lld\n",
-              on_us / kSteps, static_cast<long long>(anomalies));
-  std::printf("overhead:   %+7.2f %%  (acceptance: < 5%%)\n", overhead_pct);
+  const double off_med = bench::spread_of(off_us).median;
+  const double on_med = bench::spread_of(on_us).median;
+  const double overhead_med = bench::spread_of(overhead_pct).median;
+  const auto [overhead_min, overhead_max] =
+      std::minmax_element(overhead_pct.begin(), overhead_pct.end());
+  std::printf("health off: %8.1f us/step (median of %d)\n", off_med / kSteps,
+              kPairs);
+  std::printf("health on:  %8.1f us/step (median of %d)   anomalies flagged: "
+              "%lld\n",
+              on_med / kSteps, kPairs, static_cast<long long>(anomalies));
+  std::printf("overhead:   %+7.2f %%  median of %d pairs (min %+.2f %%, max "
+              "%+.2f %%)  (acceptance: < 5%%)\n",
+              overhead_med, kPairs, *overhead_min, *overhead_max);
 
   reporter.add(obs::JsonRecord()
                    .set("record", "health_overhead")
                    .set("steps", kSteps)
-                   .set("off_us_per_step", off_us / kSteps)
-                   .set("on_us_per_step", on_us / kSteps)
-                   .set("overhead_pct", overhead_pct)
+                   .set("pairs", kPairs)
+                   .set("off_us_per_step", off_med / kSteps)
+                   .set("on_us_per_step", on_med / kSteps)
+                   .set("overhead_pct", overhead_med)
+                   .set("overhead_pct_min", *overhead_min)
+                   .set("overhead_pct_max", *overhead_max)
                    .set("anomalies", anomalies));
 }
 

@@ -194,10 +194,6 @@ double Communicator::allreduce_scalar_max(double value) {
   return static_cast<double>(v);
 }
 
-double Communicator::allreduce_scalar_min(double value) {
-  return -allreduce_scalar_max(-value);
-}
-
 void Communicator::allreduce_mean_nb(std::int64_t slot, std::span<float> data) {
   MATSCI_CHECK(slot >= 0, "allreduce_mean_nb slot " << slot);
   collective_entry("allreduce_mean_nb");

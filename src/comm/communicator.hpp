@@ -134,14 +134,13 @@ class Communicator {
   /// In-place broadcast of root's buffer to every rank.
   void broadcast(std::span<float> data, std::int64_t root);
 
-  /// Scalar convenience forms. min is max over negated values. NaN
-  /// caveat: sum propagates NaN to every rank, but max/min silently
-  /// drop NaN contributions (std::max comparison semantics) — callers
-  /// needing NaN detection must reduce an is-finite indicator with sum,
-  /// which is what the health monitor does.
+  /// Scalar convenience forms. NaN caveat: sum propagates NaN to every
+  /// rank, but max silently drops NaN contributions (std::max
+  /// comparison semantics) — callers needing NaN detection must reduce
+  /// an is-finite indicator with sum, which is what the health monitor
+  /// does.
   double allreduce_scalar_sum(double value);
   double allreduce_scalar_max(double value);
-  double allreduce_scalar_min(double value);
 
   /// Non-blocking entry points for the bucketed-collective subsystem
   /// (comm/coll): post this rank's contribution for logical slot

@@ -53,9 +53,13 @@ enum class Bcast : int { kSame, kScalar, kRow, kCol };
 /// stay bit-identical at any thread count. Across backends, pointwise
 /// IEEE ops (add/sub/mul/div/min/max/sqrt and the row-copy/row-add
 /// kernels) are bit-identical to scalar by construction; kernels that
-/// reassociate accumulation (matmul, reductions, softmax) or use
-/// polynomial transcendentals (exp/sigmoid/tanh/silu) agree with the
-/// scalar backend to tolerance only.
+/// reassociate accumulation (matmul, reductions) or use polynomial
+/// transcendentals (exp/sigmoid/tanh/silu) agree with the scalar
+/// backend to tolerance only.
+///
+/// An entry earns its SIMD tiers only when a workload hands it enough
+/// elements per call for the vector body to matter; smaller kernels
+/// (the losses, for one) stay one scalar loop in the op itself.
 struct KernelTable {
   const char* name;
 
@@ -94,16 +98,13 @@ struct KernelTable {
                      const float* go, float* ga, std::int64_t begin,
                      std::int64_t end, float arg0, float arg1);
 
-  // --- reductions / softmax ------------------------------------------------
+  // --- reductions ----------------------------------------------------------
   /// Sum of x[begin, end) accumulated in double (per-chunk partial for
   /// the deterministic tree reduction).
   double (*reduce_sum)(const float* x, std::int64_t begin, std::int64_t end);
   /// out[r] = (float)(sum of row r of x[., d] in double), rows [r0, r1).
   void (*row_sums)(const float* x, float* out, std::int64_t r0,
                    std::int64_t r1, std::int64_t d);
-  /// Row-wise softmax of x[., c] into y for rows [r0, r1) (max-shifted).
-  void (*softmax_rows)(const float* x, float* y, std::int64_t r0,
-                       std::int64_t r1, std::int64_t c);
 
   // --- rows / message passing ---------------------------------------------
   /// dst[0, n) += src[0, n) (the scatter/segment inner accumulation and
@@ -129,37 +130,7 @@ struct KernelTable {
                        double zi, const double* lat, const double* inv,
                        double* out);
 
-  // --- losses / segment softmax --------------------------------------------
-  /// Cross-entropy rows [r0, r1): writes row-wise softmax probabilities
-  /// into `probs` and returns the chunk's double loss partial
-  /// (sum of logsumexp(row) - row[label]). Labels must be pre-validated
-  /// by the caller (the kernel does no range checks).
-  double (*ce_loss_rows)(const float* logits, const std::int64_t* labels,
-                         float* probs, std::int64_t r0, std::int64_t r1,
-                         std::int64_t c);
-  /// ga[i, j] = g * (probs[i, j] - onehot(labels[i], j)) for rows
-  /// [r0, r1). Fully overwrites those rows.
-  void (*ce_grad_rows)(const float* probs, const std::int64_t* labels, float g,
-                       float* ga, std::int64_t r0, std::int64_t r1,
-                       std::int64_t c);
-  /// Stable binary-cross-entropy-with-logits partial over [begin, end):
-  /// sum of max(z,0) - z*t + log1p(exp(-|z|)) accumulated in double.
-  double (*bce_sum)(const float* z, const float* t, std::int64_t begin,
-                    std::int64_t end);
-  /// BCE gradients over [begin, end): ga[i] = g * (sigmoid(z[i]) - t[i])
-  /// and gt[i] = -g * z[i]. Either output may be null to skip it.
-  void (*bce_grad)(const float* z, const float* t, float g, float* ga,
-                   float* gt, std::int64_t begin, std::int64_t end);
-  /// Huber loss partial over [begin, end): sum of
-  /// |d| < beta ? 0.5 d^2 / beta : |d| - 0.5 beta for d = p - t, double
-  /// accumulated.
-  double (*huber_sum)(const float* p, const float* t, float beta,
-                      std::int64_t begin, std::int64_t end);
-  /// out[i] = gscale * clamp((p[i]-t[i]) / beta, -1, 1) over
-  /// [begin, end) — callers pass gscale = +g for d(loss)/dp and -g for
-  /// d(loss)/dt.
-  void (*huber_grad)(const float* p, const float* t, float gscale, float beta,
-                     float* out, std::int64_t begin, std::int64_t end);
+  // --- segment softmax -----------------------------------------------------
   /// out[r] = exp(x[r] - seg_max[seg[r]]) for r in [begin, end) (the
   /// shifted-exponential phase of segment softmax; the order-dependent
   /// per-segment sum stays with the caller).

@@ -366,46 +366,6 @@ Tensor segment_mean(const Tensor& x, const std::vector<std::int64_t>& segment,
   return div(sums, counts);
 }
 
-Tensor segment_max(const Tensor& x, const std::vector<std::int64_t>& segment,
-                   std::int64_t num_segments, float empty_value) {
-  MATSCI_CHECK(x.defined() && x.dim() == 2, "segment_max requires 2-D input");
-  const std::int64_t n = x.size(0), d = x.size(1);
-  check_segments(segment, n, num_segments, "segment_max");
-  const float* px = x.data();
-  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-  FloatStorage out =
-      FloatStorage::full(static_cast<std::size_t>(num_segments * d), kNegInf);
-  std::vector<std::int64_t> arg(static_cast<std::size_t>(num_segments * d), -1);
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::int64_t s = segment[static_cast<std::size_t>(r)];
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float v = px[r * d + j];
-      if (v > out[s * d + j]) {
-        out[s * d + j] = v;
-        arg[s * d + j] = r;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (arg[i] < 0) out[i] = empty_value;
-  }
-  auto ix = x.impl();
-  return make_op_result(
-      {num_segments, d}, std::move(out), "segment_max", {ix},
-      [ix, arg = std::move(arg), n, d](TensorImpl& o) {
-        if (!ix->needs_grad()) return;
-        const float* go = o.grad.data();
-        FloatStorage gx = FloatStorage::zeros(static_cast<std::size_t>(n * d));
-        for (std::size_t i = 0; i < arg.size(); ++i) {
-          if (arg[i] >= 0) {
-            gx[static_cast<std::size_t>(arg[i]) * d +
-               static_cast<std::int64_t>(i) % d] += go[i];
-          }
-        }
-        ix->accumulate_grad(std::move(gx));
-      });
-}
-
 Tensor row_sq_norm(const Tensor& x) {
   return sum_dim(square(x), /*dim=*/1, /*keepdim=*/true);
 }

@@ -49,11 +49,6 @@ Tensor segment_sum(const Tensor& x, const std::vector<std::int64_t>& segment,
 Tensor segment_mean(const Tensor& x, const std::vector<std::int64_t>& segment,
                     std::int64_t num_segments);
 
-/// Max-reduced variant (subgradient routed to a single argmax row);
-/// empty segments yield rows of `empty_value`.
-Tensor segment_max(const Tensor& x, const std::vector<std::int64_t>& segment,
-                   std::int64_t num_segments, float empty_value = 0.0f);
-
 /// Per-segment row counts as a float column tensor [S, 1] (no autograd).
 Tensor segment_counts(const std::vector<std::int64_t>& segment,
                       std::int64_t num_segments);

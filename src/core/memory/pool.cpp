@@ -12,6 +12,10 @@ namespace {
 
 constexpr std::size_t kMinClass = 64;  // one cache line
 
+// Cap on idle cached bytes; beyond it a released buffer is freed at
+// once instead of cached.
+constexpr std::size_t kMaxCachedBytes = std::size_t{256} << 20;
+
 void* aligned_new(std::size_t bytes) {
   return ::operator new(bytes, std::align_val_t{kBufferAlignment});
 }
@@ -49,14 +53,9 @@ BufferPool& BufferPool::global() {
   return *pool;
 }
 
-BufferPool::BufferPool() : max_cached_bytes_(256ull << 20), enabled_(true) {
+BufferPool::BufferPool() : enabled_(true) {
   if (const char* env = std::getenv("MATSCI_TENSOR_POOL")) {
     if (env[0] == '0' && env[1] == '\0') enabled_ = false;
-  }
-  if (const char* env = std::getenv("MATSCI_POOL_MAX_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') max_cached_bytes_ = v;
   }
 }
 
@@ -84,7 +83,7 @@ void BufferPool::release(void* ptr, std::size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.releases;
   stats_.bytes_outstanding -= capacity;
-  if (enabled_ && stats_.bytes_cached + capacity <= max_cached_bytes_) {
+  if (enabled_ && stats_.bytes_cached + capacity <= kMaxCachedBytes) {
     free_lists_[class_index(capacity)].push_back(ptr);
     stats_.bytes_cached += capacity;
     return;
@@ -113,11 +112,6 @@ void BufferPool::trim() {
     }
     list.clear();
   }
-}
-
-void BufferPool::set_max_cached_bytes(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_cached_bytes_ = bytes;
 }
 
 }  // namespace matsci::core::memory

@@ -37,7 +37,9 @@ std::size_t round_up_to_class(std::size_t bytes);
 /// Process-wide cache of 64-byte-aligned heap buffers, keyed by size
 /// class. All tensor payloads (data, grad, and op scratch) allocate
 /// through here, so a fixed-shape training or serving step reuses the
-/// same buffers every iteration instead of hitting malloc.
+/// same buffers every iteration instead of hitting malloc. Idle cached
+/// bytes are capped at 256 MiB; beyond the cap a released buffer is
+/// freed at once.
 ///
 /// Thread safety: acquire/release/stats/trim are safe from any thread
 /// (serve workers collate and run forwards concurrently); a single
@@ -73,10 +75,6 @@ class BufferPool {
   /// Free every cached (idle) block. Outstanding buffers are untouched.
   void trim();
 
-  /// Cap on idle cached bytes; beyond it released buffers are freed
-  /// immediately. Default 256 MiB, overridable via MATSCI_POOL_MAX_BYTES.
-  void set_max_cached_bytes(std::size_t bytes);
-
   /// False when MATSCI_TENSOR_POOL=0: every acquire is a fresh heap
   /// allocation and every release frees (debugging aid — ASan sees
   /// each buffer's exact lifetime instead of pooled reuse).
@@ -95,7 +93,6 @@ class BufferPool {
   mutable std::mutex mu_;
   std::array<std::vector<void*>, kNumClasses> free_lists_;
   PoolStats stats_;
-  std::size_t max_cached_bytes_;
   bool enabled_;
 };
 

@@ -504,31 +504,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       });
 }
 
-Tensor transpose2d(const Tensor& a) {
-  MATSCI_CHECK(a.defined() && a.dim() == 2, "transpose2d requires 2-D");
-  const std::int64_t n = a.size(0), d = a.size(1);
-  const float* pa = a.data();
-  FloatStorage out =
-      FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
-  parallel::parallel_for(
-      0, n, rows_grain(d),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i)
-          for (std::int64_t j = 0; j < d; ++j) out[j * n + i] = pa[i * d + j];
-      });
-  auto ia = a.impl();
-  return make_op_result(
-      {d, n}, std::move(out), "transpose2d", {ia}, [ia, n, d](TensorImpl& o) {
-        if (!ia->needs_grad()) return;
-        const float* go = o.grad.data();
-        FloatStorage ga =
-            FloatStorage::uninitialized(static_cast<std::size_t>(n * d));
-        for (std::int64_t j = 0; j < d; ++j)
-          for (std::int64_t i = 0; i < n; ++i) ga[i * d + j] = go[j * n + i];
-        ia->accumulate_grad(std::move(ga));
-      });
-}
-
 // --- shape ---------------------------------------------------------------
 
 Tensor reshape(const Tensor& a, Shape shape) {
@@ -640,36 +615,6 @@ Tensor concat_rows(const std::vector<Tensor>& parts) {
       });
 }
 
-Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len) {
-  MATSCI_CHECK(a.defined() && a.dim() == 2, "slice_cols requires 2-D");
-  const std::int64_t n = a.size(0), d = a.size(1);
-  MATSCI_CHECK(start >= 0 && len >= 0 && start + len <= d,
-               "slice_cols [" << start << ", " << start + len
-                              << ") out of range for width " << d);
-  const float* pa = a.data();
-  FloatStorage out =
-      FloatStorage::uninitialized(static_cast<std::size_t>(n * len));
-  parallel::parallel_for(
-      0, n, rows_grain(len),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i)
-          std::copy(pa + i * d + start, pa + i * d + start + len,
-                    out.data() + i * len);
-      });
-  auto ia = a.impl();
-  return make_op_result(
-      {n, len}, std::move(out), "slice_cols", {ia},
-      [ia, n, d, start, len](TensorImpl& o) {
-        if (!ia->needs_grad()) return;
-        const float* go = o.grad.data();
-        FloatStorage ga = FloatStorage::zeros(static_cast<std::size_t>(n * d));
-        for (std::int64_t i = 0; i < n; ++i)
-          std::copy(go + i * len, go + (i + 1) * len,
-                    ga.data() + i * d + start);
-        ia->accumulate_grad(std::move(ga));
-      });
-}
-
 Tensor slice_rows(const Tensor& a, std::int64_t start, std::int64_t len) {
   MATSCI_CHECK(a.defined() && a.dim() == 2, "slice_rows requires 2-D");
   const std::int64_t n = a.size(0), d = a.size(1);
@@ -722,45 +667,6 @@ Tensor dropout(const Tensor& a, float p, bool training, RngEngine& rng) {
 
 // --- losses ----------------------------------------------------------------
 
-Tensor softmax_rows(const Tensor& logits) {
-  MATSCI_CHECK(logits.defined() && logits.dim() == 2,
-               "softmax_rows requires 2-D logits");
-  const std::int64_t n = logits.size(0), c = logits.size(1);
-  const float* pl = logits.data();
-  const backend::KernelTable& kt = backend::kernels();
-  FloatStorage out =
-      FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
-  parallel::parallel_for(
-      0, n, rows_grain(4 * c),
-      [&](std::int64_t ib, std::int64_t ie) {
-        kt.softmax_rows(pl, out.data(), ib, ie, c);
-      });
-  auto il = logits.impl();
-  FloatStorage probs;
-  if (grad_mode_enabled() && il->needs_grad()) probs = out;
-  return make_op_result(
-      logits.shape(), std::move(out), "softmax_rows", {il},
-      [il, n, c, probs = std::move(probs)](TensorImpl& o) {
-        if (!il->needs_grad()) return;
-        const float* go = o.grad.data();
-        FloatStorage ga =
-            FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
-        parallel::parallel_for(
-            0, n, rows_grain(4 * c),
-            [&](std::int64_t ib, std::int64_t ie) {
-              for (std::int64_t i = ib; i < ie; ++i) {
-                double dot = 0.0;
-                for (std::int64_t j = 0; j < c; ++j)
-                  dot += go[i * c + j] * probs[i * c + j];
-                for (std::int64_t j = 0; j < c; ++j)
-                  ga[i * c + j] = probs[i * c + j] *
-                                  (go[i * c + j] - static_cast<float>(dot));
-              }
-            });
-        il->accumulate_grad(std::move(ga));
-      });
-}
-
 Tensor cross_entropy(const Tensor& logits,
                      const std::vector<std::int64_t>& labels) {
   MATSCI_CHECK(logits.defined() && logits.dim() == 2,
@@ -769,21 +675,37 @@ Tensor cross_entropy(const Tensor& logits,
   MATSCI_CHECK(static_cast<std::int64_t>(labels.size()) == n,
                "cross_entropy: " << labels.size() << " labels for " << n
                                  << " rows");
-  // Labels are validated up front so the kernel-table entry can stay a
-  // check-free inner loop.
+  // Labels are validated up front so the row loop can stay check-free.
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const std::int64_t y = labels[i];
     MATSCI_CHECK(y >= 0 && y < c,
                  "label " << y << " out of range [0, " << c << ")");
   }
+  // One scalar loop on every backend tier: max shift, std::exp, a
+  // double normalizer per row and a float inverse. The probabilities
+  // are kept for the backward.
   const float* pl = logits.data();
-  const backend::KernelTable& kt = backend::kernels();
   FloatStorage probs =
       FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
   double loss = parallel::parallel_reduce(
       0, n, rows_grain(4 * c), 0.0,
       [&](std::int64_t ib, std::int64_t ie) {
-        return kt.ce_loss_rows(pl, labels.data(), probs.data(), ib, ie, c);
+        double part = 0.0;
+        for (std::int64_t i = ib; i < ie; ++i) {
+          const float* row = pl + i * c;
+          float* prow = probs.data() + i * c;
+          const float mx = *std::max_element(row, row + c);
+          double z = 0.0;
+          for (std::int64_t j = 0; j < c; ++j) {
+            prow[j] = std::exp(row[j] - mx);
+            z += prow[j];
+          }
+          const double logz = std::log(z) + mx;
+          part += logz - row[labels[static_cast<std::size_t>(i)]];
+          const float inv = static_cast<float>(1.0 / z);
+          for (std::int64_t j = 0; j < c; ++j) prow[j] *= inv;
+        }
+        return part;
       },
       [](double x, double y) { return x + y; });
   loss /= static_cast<double>(n);
@@ -794,14 +716,17 @@ Tensor cross_entropy(const Tensor& logits,
       [il, n, c, labels, probs = std::move(probs)](TensorImpl& o) {
         if (!il->needs_grad()) return;
         const float g = o.grad[0] / static_cast<float>(n);
-        const backend::KernelTable& kt = backend::kernels();
         FloatStorage ga =
             FloatStorage::uninitialized(static_cast<std::size_t>(n * c));
         parallel::parallel_for(
             0, n, rows_grain(c),
             [&](std::int64_t ib, std::int64_t ie) {
-              kt.ce_grad_rows(probs.data(), labels.data(), g, ga.data(), ib,
-                              ie, c);
+              for (std::int64_t i = ib; i < ie; ++i) {
+                const std::int64_t y = labels[static_cast<std::size_t>(i)];
+                for (std::int64_t j = 0; j < c; ++j)
+                  ga[i * c + j] =
+                      g * (probs[i * c + j] - (j == y ? 1.0f : 0.0f));
+              }
             });
         il->accumulate_grad(std::move(ga));
       });
@@ -816,10 +741,18 @@ Tensor bce_with_logits(const Tensor& logits, const Tensor& targets) {
   const std::int64_t n = logits.numel();
   const float* pz = logits.data();
   const float* pt = targets.data();
-  const backend::KernelTable& kt = backend::kernels();
   double loss = parallel::parallel_reduce(
       0, n, kReduceGrain, 0.0,
-      [&](std::int64_t ib, std::int64_t ie) { return kt.bce_sum(pz, pt, ib, ie); },
+      [&](std::int64_t ib, std::int64_t ie) {
+        double part = 0.0;
+        for (std::int64_t i = ib; i < ie; ++i) {
+          const float zi = pz[i];
+          // max(z,0) - z*t + log(1+exp(-|z|)) — numerically stable form.
+          part += std::max(zi, 0.0f) - zi * pt[i] +
+                  std::log1p(std::exp(-std::fabs(zi)));
+        }
+        return part;
+      },
       [](double x, double y) { return x + y; });
   loss /= static_cast<double>(n);
   auto il = logits.impl();
@@ -830,22 +763,24 @@ Tensor bce_with_logits(const Tensor& logits, const Tensor& targets) {
         const float g = o.grad[0] / static_cast<float>(n);
         const float* pz2 = il->data.data();
         const float* pt2 = it->data.data();
-        const backend::KernelTable& kt = backend::kernels();
         if (il->needs_grad()) {
+          // d/dz = sigmoid(z) - t
           FloatStorage ga =
               FloatStorage::uninitialized(static_cast<std::size_t>(n));
           parallel::parallel_for(
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
-                kt.bce_grad(pz2, pt2, g, ga.data(), nullptr, ib, ie);
+                for (std::int64_t i = ib; i < ie; ++i)
+                  ga[i] = g * (1.0f / (1.0f + std::exp(-pz2[i])) - pt2[i]);
               });
           il->accumulate_grad(std::move(ga));
         }
         if (it->needs_grad()) {
+          // d/dt = -z
           FloatStorage gt =
               FloatStorage::uninitialized(static_cast<std::size_t>(n));
           parallel::parallel_for(
               0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
-                kt.bce_grad(pz2, pt2, g, nullptr, gt.data(), ib, ie);
+                for (std::int64_t i = ib; i < ie; ++i) gt[i] = -g * pz2[i];
               });
           it->accumulate_grad(std::move(gt));
         }
@@ -858,60 +793,6 @@ Tensor mse_loss(const Tensor& pred, const Tensor& target) {
                                            << target.numel());
   Tensor diff = sub(pred, reshape(target, pred.shape()));
   return mean(square(diff));
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  MATSCI_CHECK(pred.numel() == target.numel(),
-               "l1_loss numel mismatch: " << pred.numel() << " vs "
-                                          << target.numel());
-  Tensor diff = sub(pred, reshape(target, pred.shape()));
-  return mean(abs(diff));
-}
-
-Tensor huber_loss(const Tensor& pred, const Tensor& target, float beta) {
-  MATSCI_CHECK(beta > 0.0f, "huber_loss beta must be positive");
-  MATSCI_CHECK(pred.numel() == target.numel(),
-               "huber_loss numel mismatch: " << pred.numel() << " vs "
-                                             << target.numel());
-  const std::int64_t n = pred.numel();
-  const float* pp = pred.data();
-  const float* pt = target.data();
-  const backend::KernelTable& kt = backend::kernels();
-  double loss = parallel::parallel_reduce(
-      0, n, kReduceGrain, 0.0,
-      [&](std::int64_t ib, std::int64_t ie) {
-        return kt.huber_sum(pp, pt, beta, ib, ie);
-      },
-      [](double x, double y) { return x + y; });
-  loss /= static_cast<double>(n);
-  auto ip = pred.impl();
-  auto it = target.impl();
-  return make_op_result(
-      {1}, FloatStorage{static_cast<float>(loss)}, "huber_loss", {ip, it},
-      [ip, it, n, beta](TensorImpl& o) {
-        const float g = o.grad[0] / static_cast<float>(n);
-        const float* pp2 = ip->data.data();
-        const float* pt2 = it->data.data();
-        const backend::KernelTable& kt = backend::kernels();
-        if (ip->needs_grad()) {
-          FloatStorage ga =
-              FloatStorage::uninitialized(static_cast<std::size_t>(n));
-          parallel::parallel_for(
-              0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
-                kt.huber_grad(pp2, pt2, g, beta, ga.data(), ib, ie);
-              });
-          ip->accumulate_grad(std::move(ga));
-        }
-        if (it->needs_grad()) {
-          FloatStorage gt =
-              FloatStorage::uninitialized(static_cast<std::size_t>(n));
-          parallel::parallel_for(
-              0, n, kElemGrain, [&](std::int64_t ib, std::int64_t ie) {
-                kt.huber_grad(pp2, pt2, -g, beta, gt.data(), ib, ie);
-              });
-          it->accumulate_grad(std::move(gt));
-        }
-      });
 }
 
 std::vector<std::int64_t> argmax_rows(const Tensor& a) {

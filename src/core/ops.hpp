@@ -48,13 +48,11 @@ Tensor mean_dim(const Tensor& a, std::int64_t dim, bool keepdim = true);
 
 // --- linear algebra ------------------------------------------------------
 Tensor matmul(const Tensor& a, const Tensor& b);  ///< [N,K] x [K,M]
-Tensor transpose2d(const Tensor& a);
 
 // --- shape ---------------------------------------------------------------
 Tensor reshape(const Tensor& a, Shape shape);
 Tensor concat_cols(const std::vector<Tensor>& parts);  ///< all [N, Di]
 Tensor concat_rows(const std::vector<Tensor>& parts);  ///< all [Ni, D]
-Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len);
 Tensor slice_rows(const Tensor& a, std::int64_t start, std::int64_t len);
 
 // --- regularization ------------------------------------------------------
@@ -63,15 +61,11 @@ Tensor slice_rows(const Tensor& a, std::int64_t start, std::int64_t len);
 Tensor dropout(const Tensor& a, float p, bool training, RngEngine& rng);
 
 // --- losses & classification helpers -------------------------------------
-Tensor softmax_rows(const Tensor& logits);
 /// Mean cross-entropy over rows with integer class labels.
 Tensor cross_entropy(const Tensor& logits, const std::vector<std::int64_t>& labels);
 /// Mean binary cross-entropy on logits ([N] or [N,1]) vs targets in {0,1}.
 Tensor bce_with_logits(const Tensor& logits, const Tensor& targets);
 Tensor mse_loss(const Tensor& pred, const Tensor& target);
-Tensor l1_loss(const Tensor& pred, const Tensor& target);
-/// Huber/smooth-L1 with threshold beta.
-Tensor huber_loss(const Tensor& pred, const Tensor& target, float beta = 1.0f);
 
 /// Row-wise argmax of a 2-D tensor (no autograd).
 std::vector<std::int64_t> argmax_rows(const Tensor& a);

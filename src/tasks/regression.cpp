@@ -10,8 +10,8 @@ namespace matsci::tasks {
 ScalarRegressionTask::ScalarRegressionTask(
     std::shared_ptr<models::Encoder> encoder, std::string target_key,
     models::OutputHeadConfig head_cfg, core::RngEngine& rng,
-    data::TargetStats stats, RegressionLoss loss)
-    : target_key_(std::move(target_key)), stats_(stats), loss_(loss) {
+    data::TargetStats stats)
+    : target_key_(std::move(target_key)), stats_(stats) {
   MATSCI_CHECK(encoder != nullptr, "regression task needs an encoder");
   MATSCI_CHECK(stats.stddev > 0.0f, "target stddev must be positive");
   head_cfg.out_dim = 1;
@@ -36,17 +36,7 @@ TaskOutput ScalarRegressionTask::step(const data::Batch& batch) const {
       core::add_scalar(target_raw, -stats_.mean), 1.0f / stats_.stddev);
 
   TaskOutput out;
-  switch (loss_) {
-    case RegressionLoss::kMSE:
-      out.loss = core::mse_loss(pred, target_norm);
-      break;
-    case RegressionLoss::kL1:
-      out.loss = core::l1_loss(pred, target_norm);
-      break;
-    case RegressionLoss::kHuber:
-      out.loss = core::huber_loss(pred, target_norm);
-      break;
-  }
+  out.loss = core::mse_loss(pred, target_norm);
 
   // MAE in physical units.
   const std::int64_t g = pred.size(0);

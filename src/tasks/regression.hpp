@@ -6,20 +6,17 @@
 
 namespace matsci::tasks {
 
-enum class RegressionLoss { kMSE, kL1, kHuber };
-
 /// Single-target scalar regression (e.g. Materials Project band gap,
-/// Fig. 5). The target is z-normalized with `stats` before the loss;
-/// the reported "mae" metric is denormalized back to physical units so
-/// it is comparable to the paper's eV numbers.
+/// Fig. 5), trained with MSE. The target is z-normalized with `stats`
+/// before the loss; the reported "mae" metric is denormalized back to
+/// physical units so it is comparable to the paper's eV numbers.
 class ScalarRegressionTask : public Task {
  public:
   ScalarRegressionTask(std::shared_ptr<models::Encoder> encoder,
                        std::string target_key,
                        models::OutputHeadConfig head_cfg,
                        core::RngEngine& rng,
-                       data::TargetStats stats = {},
-                       RegressionLoss loss = RegressionLoss::kMSE);
+                       data::TargetStats stats = {});
 
   TaskOutput step(const data::Batch& batch) const override;
   std::shared_ptr<models::Encoder> encoder() const override {
@@ -42,7 +39,6 @@ class ScalarRegressionTask : public Task {
   std::string target_key_;
   std::shared_ptr<models::OutputHead> head_;
   data::TargetStats stats_;
-  RegressionLoss loss_;
 };
 
 }  // namespace matsci::tasks

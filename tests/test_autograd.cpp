@@ -99,11 +99,6 @@ TEST(Autograd, MatmulBothSides) {
             {make_input({3, 4}, 27), make_input({4, 2}, 28)});
 }
 
-TEST(Autograd, Transpose) {
-  gradcheck([](auto& in) { return sum(square(transpose2d(in[0]))); },
-            {make_input({3, 4}, 29)});
-}
-
 TEST(Autograd, ReshapeConcatSlice) {
   gradcheck([](auto& in) { return sum(square(reshape(in[0], {4, 3}))); },
             {make_input({3, 4}, 30)});
@@ -113,8 +108,6 @@ TEST(Autograd, ReshapeConcatSlice) {
   gradcheck(
       [](auto& in) { return sum(square(concat_rows({in[0], in[1]}))); },
       {make_input({2, 3}, 33), make_input({4, 3}, 34)});
-  gradcheck([](auto& in) { return sum(square(slice_cols(in[0], 1, 2))); },
-            {make_input({3, 4}, 35)});
   gradcheck([](auto& in) { return sum(square(slice_rows(in[0], 1, 2))); },
             {make_input({4, 3}, 36)});
 }
@@ -122,24 +115,12 @@ TEST(Autograd, ReshapeConcatSlice) {
 TEST(Autograd, Losses) {
   gradcheck([](auto& in) { return mse_loss(in[0], in[1]); },
             {make_input({5, 1}, 37), make_input({5, 1}, 38)});
-  gradcheck([](auto& in) { return huber_loss(in[0], in[1], 0.7f); },
-            {make_input({5, 1}, 39), make_input({5, 1}, 40)});
   const std::vector<std::int64_t> labels = {0, 2, 1, 2};
   gradcheck([&labels](auto& in) { return cross_entropy(in[0], labels); },
             {make_input({4, 3}, 41)});
   Tensor targets = Tensor::from_vector({0, 1, 1, 0, 1}, {5, 1});
   gradcheck([&targets](auto& in) { return bce_with_logits(in[0], targets); },
             {make_input({5, 1}, 42)});
-}
-
-TEST(Autograd, SoftmaxRows) {
-  gradcheck(
-      [](auto& in) {
-        // Weighted sum so the softmax backward is non-trivial.
-        Tensor w = Tensor::from_vector({0.3f, -1.2f, 0.7f}, {3});
-        return sum(mul(softmax_rows(in[0]), w));
-      },
-      {make_input({4, 3}, 43)});
 }
 
 TEST(Autograd, GatherAndSegmentOps) {
@@ -154,9 +135,6 @@ TEST(Autograd, GatherAndSegmentOps) {
   gradcheck(
       [&seg](auto& in) { return sum(square(segment_mean(in[0], seg, 3))); },
       {make_input({5, 3}, 46)});
-  gradcheck(
-      [&seg](auto& in) { return sum(square(segment_max(in[0], seg, 3))); },
-      {make_input({5, 3}, 47)});
 }
 
 TEST(Autograd, SegmentSoftmax) {

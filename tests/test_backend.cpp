@@ -1,11 +1,11 @@
 // The runtime-dispatched kernel backend and the tensor memory runtime
 // (ctest label `backend`): dispatch resolution and forced fallback,
 // scalar-backend bit-compatibility with the legacy serial kernels,
-// scalar-vs-SIMD agreement (bit-exact for pointwise IEEE ops, tolerance
-// for reassociating/polynomial kernels), the fused EGNN edge layer
-// against its concat-form reference, 64-byte buffer alignment, pool
-// reuse, first gradient writes, and the zero-fresh-allocation steady
-// state of fixed-shape train/serve loops. Also run under
+// scalar-vs-SIMD agreement (bit-exact for pointwise IEEE ops and the
+// losses, tolerance for reassociating/polynomial kernels), the fused
+// EGNN edge layer against its concat-form reference, 64-byte buffer
+// alignment, pool reuse, first gradient writes, and the
+// zero-fresh-allocation steady state of fixed-shape train/serve loops. Also run under
 // -DMATSCI_SANITIZE=address (the pool's recycled buffers must not mask
 // lifetime bugs with MATSCI_TENSOR_POOL=0).
 #include <gtest/gtest.h>
@@ -348,7 +348,6 @@ TEST(BackendAgreement, ReassociatingKernelsAgreeToTolerance) {
     r.push_back(tensor_bits(core::sum(x)));
     r.push_back(tensor_bits(core::sum_dim(x, 0)));
     r.push_back(tensor_bits(core::sum_dim(x, 1)));
-    r.push_back(tensor_bits(core::softmax_rows(x)));
     r.push_back(tensor_bits(core::exp(x)));
     r.push_back(tensor_bits(core::sigmoid(x)));
     r.push_back(tensor_bits(core::tanh(x)));
@@ -367,6 +366,76 @@ TEST(BackendAgreement, ReassociatingKernelsAgreeToTolerance) {
     for (std::size_t i = 0; i < reference.size(); ++i) {
       expect_close(reference[i], got[i], 2e-5f, bk::backend_name(backend));
     }
+  }
+}
+
+TEST(BackendAgreement, LossesAreBitIdenticalAcrossBackends) {
+  // cross_entropy and bce_with_logits are one scalar loop in ops.cpp on
+  // every tier, so each tier's loss and gradients equal the scalar
+  // tier's bit for bit. Odd sizes, as for the pointwise ops above.
+  BackendGuard guard;
+  core::RngEngine rng(77);
+  const std::vector<float> logits =
+      tensor_bits(core::Tensor::randn({37, 27}, rng, 0.0f, 3.0f));
+  std::vector<std::int64_t> labels(37);
+  for (auto& y : labels) y = rng.next_int(27);
+  const std::vector<float> z =
+      tensor_bits(core::Tensor::randn({37}, rng, 0.0f, 4.0f));
+  std::vector<float> t(37);
+  for (auto& v : t) v = rng.bernoulli(0.5f) ? 1.0f : 0.0f;
+
+  const auto run_all = [&] {
+    std::vector<std::vector<float>> r;
+    core::Tensor x = core::Tensor::from_vector(logits, {37, 27});
+    x.set_requires_grad(true);
+    core::Tensor ce = core::cross_entropy(x, labels);
+    ce.backward();
+    r.push_back(tensor_bits(ce));
+    r.push_back(tensor_bits(x.grad()));
+    core::Tensor zt = core::Tensor::from_vector(z, {37});
+    core::Tensor tt = core::Tensor::from_vector(t, {37});
+    zt.set_requires_grad(true);
+    tt.set_requires_grad(true);
+    core::Tensor bce = core::bce_with_logits(zt, tt);
+    bce.backward();
+    r.push_back(tensor_bits(bce));
+    r.push_back(tensor_bits(zt.grad()));
+    r.push_back(tensor_bits(tt.grad()));
+    return r;
+  };
+
+  bk::set_backend(bk::Backend::kScalar);
+  const auto reference = run_all();
+  for (const bk::Backend backend : supported_backends()) {
+    if (backend == bk::Backend::kScalar) continue;
+    bk::set_backend(backend);
+    const auto got = run_all();
+    ASSERT_EQ(reference.size(), got.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_TRUE(bit_identical(reference[i], got[i]))
+          << "loss output #" << i << " differs under "
+          << bk::backend_name(backend);
+    }
+  }
+}
+
+TEST(BackendAgreement, CrossEntropyIsStableAtLargeLogits) {
+  // The max shift lives in cross_entropy: the row {1000, 1001} with
+  // label 0 must give log(1 + e) and the gradient (p - onehot) with
+  // p = softmax(0, 1), on every tier.
+  BackendGuard guard;
+  const double p1 = 1.0 / (1.0 + std::exp(-1.0));
+  for (const bk::Backend backend : supported_backends()) {
+    bk::set_backend(backend);
+    core::Tensor x = core::Tensor::from_vector({1000.0f, 1001.0f}, {1, 2});
+    x.set_requires_grad(true);
+    core::Tensor loss = core::cross_entropy(x, {0});
+    loss.backward();
+    const char* name = bk::backend_name(backend);
+    ASSERT_TRUE(std::isfinite(loss.item())) << name;
+    EXPECT_NEAR(loss.item(), std::log1p(std::exp(1.0)), 1e-5) << name;
+    EXPECT_NEAR(x.grad().at(0, 0), (1.0 - p1) - 1.0, 1e-6) << name;
+    EXPECT_NEAR(x.grad().at(0, 1), p1, 1e-6) << name;
   }
 }
 

@@ -92,27 +92,6 @@ TEST(Ops, ClampValues) {
   EXPECT_THROW(clamp(x, 1.0f, -1.0f), matsci::Error);
 }
 
-TEST(Ops, SoftmaxRowsSumToOne) {
-  RngEngine rng(3);
-  Tensor logits = Tensor::randn({5, 7}, rng, 0.0f, 4.0f);
-  Tensor p = softmax_rows(logits);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    double row = 0.0;
-    for (std::int64_t j = 0; j < 7; ++j) {
-      EXPECT_GE(p.at(i, j), 0.0f);
-      row += p.at(i, j);
-    }
-    EXPECT_NEAR(row, 1.0, 1e-5);
-  }
-}
-
-TEST(Ops, SoftmaxNumericallyStableAtLargeLogits) {
-  Tensor logits = Tensor::from_vector({1000.0f, 1001.0f}, {1, 2});
-  Tensor p = softmax_rows(logits);
-  EXPECT_FALSE(std::isnan(p.at(0, 0)));
-  EXPECT_NEAR(p.at(0, 1), 1.0 / (1.0 + std::exp(-1.0)), 1e-5);
-}
-
 TEST(Ops, CrossEntropyMatchesManual) {
   // Uniform logits over C classes -> loss = log(C).
   Tensor logits = Tensor::zeros({4, 5});
@@ -135,10 +114,6 @@ TEST(Ops, LossValues) {
   Tensor p = Tensor::from_vector({1, 2, 3}, {3, 1});
   Tensor t = Tensor::from_vector({2, 2, 5}, {3, 1});
   EXPECT_NEAR(mse_loss(p, t).item(), (1.0 + 0.0 + 4.0) / 3.0, 1e-6);
-  EXPECT_NEAR(l1_loss(p, t).item(), (1.0 + 0.0 + 2.0) / 3.0, 1e-6);
-  // Huber: |d|<beta quadratic, else linear.
-  EXPECT_NEAR(huber_loss(p, t, 1.0f).item(),
-              (0.5 + 0.0 + (2.0 - 0.5)) / 3.0, 1e-6);
 }
 
 TEST(Ops, ArgmaxRows) {
@@ -155,8 +130,6 @@ TEST(Ops, ConcatAndSliceRoundTrip) {
   EXPECT_EQ(cat.shape(), (Shape{2, 3}));
   EXPECT_FLOAT_EQ(cat.at(0, 2), 5.0f);
   EXPECT_FLOAT_EQ(cat.at(1, 2), 6.0f);
-  Tensor back = slice_cols(cat, 0, 2);
-  EXPECT_FLOAT_EQ(back.at(1, 1), 4.0f);
 
   Tensor rows = concat_rows({a, a});
   EXPECT_EQ(rows.shape(), (Shape{4, 2}));
@@ -192,14 +165,6 @@ TEST(Ops, ReshapeValidation) {
   EXPECT_EQ(reshape(a, {6}).shape(), (Shape{6}));
   EXPECT_EQ(reshape(a, {3, 2}).shape(), (Shape{3, 2}));
   EXPECT_THROW(reshape(a, {4, 2}), matsci::Error);
-}
-
-TEST(Ops, TransposeValues) {
-  Tensor a = Tensor::from_vector({1, 2, 3, 4, 5, 6}, {2, 3});
-  Tensor t = transpose2d(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_FLOAT_EQ(t.at(0, 1), 4.0f);
-  EXPECT_FLOAT_EQ(t.at(2, 0), 3.0f);
 }
 
 }  // namespace

@@ -270,6 +270,8 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
   core::Tensor b = core::Tensor::randn({96, 128}, rng);
   core::Tensor x = core::Tensor::randn({8192, 64}, rng);
   core::Tensor logits = core::Tensor::randn({2048, 33}, rng);
+  std::vector<std::int64_t> labels(2048);
+  for (auto& y : labels) y = rng.next_int(33);
 
   for (const bk::Backend backend : backends.list()) {
     bk::set_backend(backend);
@@ -288,10 +290,16 @@ TEST(ParallelDeterminism, KernelsAreThreadCountInvariantUnderEveryBackend) {
         (tag + " sum").c_str());
     expect_invariant_across_threads(
         [&] {
-          core::NoGradGuard no_grad;
-          return tensor_bits(core::softmax_rows(logits));
+          core::Tensor x = logits.detach();
+          x.set_requires_grad(true);
+          core::Tensor loss = core::cross_entropy(x, labels);
+          loss.backward();
+          std::vector<float> out = tensor_bits(loss);
+          const std::vector<float> g = tensor_bits(x.grad());
+          out.insert(out.end(), g.begin(), g.end());
+          return out;
         },
-        (tag + " softmax_rows").c_str());
+        (tag + " cross_entropy").c_str());
   }
 }
 

@@ -103,16 +103,6 @@ TEST(RegressionTask, MissingTargetThrows) {
   EXPECT_THROW(task.step(mp_batch()), matsci::Error);
 }
 
-TEST(RegressionTask, LossVariants) {
-  for (const auto loss :
-       {RegressionLoss::kMSE, RegressionLoss::kL1, RegressionLoss::kHuber}) {
-    RngEngine rng(5);
-    ScalarRegressionTask task(tiny_encoder(5), "band_gap", tiny_head(), rng,
-                              {}, loss);
-    EXPECT_TRUE(std::isfinite(task.step(mp_batch()).loss.item()));
-  }
-}
-
 data::Batch sym_batch(std::int64_t n = 8) {
   sym::SyntheticPointGroupDataset ds(n, 17);
   std::vector<data::StructureSample> samples;
